@@ -38,7 +38,6 @@ from .instances import (
 from .measures import AtomicMeasure, Cube, bounding_cube, diameter
 from .network import BalanceReport, TransportNetwork
 from .optimize_global import (
-    candidate_parents,
     evaluate_reparent,
     global_optimize,
     potential,
@@ -46,7 +45,7 @@ from .optimize_global import (
     shift_mass,
     subdivide_long_edges,
 )
-from .optimize_local import extract_star, improve_vertex, local_sweep
+from .optimize_local import improve_vertex, local_sweep
 from .oracle import enumerate_optimal, grid_minimize_f, topologies
 from .svg import RenderStyle, render_svg
 
@@ -76,12 +75,10 @@ __all__ = [
     "build_small",
     "build_star",
     "build_subdivision",
-    "candidate_parents",
     "diameter",
     "enumerate_optimal",
     "evaluate_reparent",
     "export_network",
-    "extract_star",
     "generate_points",
     "global_optimize",
     "grid_minimize_f",

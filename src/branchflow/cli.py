@@ -11,18 +11,11 @@ import sys
 from pathlib import Path
 
 from .config import INITIALIZERS, REL_TOL, OptimizeConfig
-from .construct import build_small, build_star, build_subdivision
 from .errors import InputError, InvariantViolation
 from .instances import export_network, import_network, parse_instance
-from .optimize_global import global_optimize
+from .optimize_global import _INITIALIZERS, global_optimize
 from .oracle import enumerate_optimal
 from .svg import render_svg
-
-_BUILDERS = {
-    "subdivision": build_subdivision,
-    "star": build_star,
-    "small": build_small,
-}
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
@@ -76,7 +69,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
     config = OptimizeConfig(rel_tol=args.rel_tol, max_rounds=args.max_rounds,
                             subdivide_factor=args.subdivide_factor,
-                            initializer=args.initializer, seed=inst.seed)
+                            initializer=args.initializer)
     net = global_optimize(inst.source_measure(), inst.targets, inst.alpha, config)
     _emit(net, inst.alpha, args)
     return 0
@@ -84,7 +77,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_init(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
-    build = _BUILDERS[args.initializer]
+    build = _INITIALIZERS[args.initializer]
     net = build(inst.source_point, inst.source_mass, inst.targets, inst.alpha)
     _emit(net, inst.alpha, args)
     return 0

@@ -6,7 +6,6 @@ cost tolerances with diameter * mass**alpha.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 REL_TOL = 1e-9
@@ -28,7 +27,6 @@ class OptimizeConfig:
     subdivide_factor: float = 2.0
     max_vertices: int | None = None
     initializer: str = "subdivision"
-    seed: int | None = None
 
     def validate(self) -> None:
         if self.initializer not in INITIALIZERS:
@@ -53,20 +51,3 @@ def cost_tolerance(diameter: float, total_mass: float, alpha: float) -> float:
     """Minimum accepted cost improvement: 1e-9 * diameter * mass**alpha."""
     return 1e-9 * abs(diameter) * abs(total_mass) ** alpha
 
-
-def scoring_threads() -> int:
-    """Upper bound on scoring parallelism, from BRANCHFLOW_THREADS.
-
-    The evaluator is serial, which respects any cap; the variable is parsed
-    and validated so misconfiguration surfaces early.
-    """
-    raw = os.environ.get("BRANCHFLOW_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"BRANCHFLOW_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError("BRANCHFLOW_THREADS must be >= 1")
-    return value

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bifurcation import BifurcationInput, BranchCase, objective_f, solve_two_targets
-from .config import mass_tolerance
 from .errors import DegenerateInputError, InputError
-from .measures import AtomicMeasure, Cube, bounding_cube
+from .measures import AtomicMeasure, Cube, bounding_cube, check_source_targets
 from .network import TransportNetwork
 
 MAX_DEPTH = 32
@@ -42,19 +41,6 @@ class SubdivisionParams:
             raise InputError("instances must live in dimension >= 2")
         lam = 3 if d == 2 else 2
         return cls(lam=lam, capacity=lam ** d)
-
-
-def _check_source_targets(source_point, source_mass, targets: AtomicMeasure) -> None:
-    if targets.n < 1:
-        raise InputError("need at least one target")
-    if len(np.asarray(source_point, dtype=float)) != targets.dimension:
-        raise InputError("source and targets must share one dimension")
-    bad = targets.validate()
-    if bad:
-        raise InputError(f"invalid target measure: {bad[0].kind} at atom {bad[0].index}")
-    if abs(targets.total_mass() - source_mass) > mass_tolerance(source_mass):
-        raise InputError(
-            f"target mass {targets.total_mass()!r} does not match source mass {source_mass!r}")
 
 
 class _Active:
@@ -139,7 +125,7 @@ def _greedy_small(net: TransportNetwork, source_vid: int, source_mass: float,
 def build_small(source_point, source_mass: float, targets: AtomicMeasure,
                 alpha: float) -> TransportNetwork:
     """Greedy bifurcation network from one source to a small target set."""
-    _check_source_targets(source_point, source_mass, targets)
+    check_source_targets(source_point, source_mass, targets)
     net = TransportNetwork(source_point, source_mass)
     pool = [
         _Active(net.add_vertex(targets.points[i], terminal=True),
@@ -154,7 +140,7 @@ def build_small(source_point, source_mass: float, targets: AtomicMeasure,
 def build_star(source_point, source_mass: float, targets: AtomicMeasure,
                alpha: float) -> TransportNetwork:
     """One direct edge per target; the baseline everything must beat."""
-    _check_source_targets(source_point, source_mass, targets)
+    check_source_targets(source_point, source_mass, targets)
     net = TransportNetwork(source_point, source_mass)
     for pt, mass in targets.atoms():
         vid = net.add_vertex(pt, terminal=True)
@@ -166,7 +152,7 @@ def build_star(source_point, source_mass: float, targets: AtomicMeasure,
 def build_subdivision(source_point, source_mass: float, targets: AtomicMeasure,
                       alpha: float, params: SubdivisionParams | None = None) -> TransportNetwork:
     """Recursive cell summary construction; scales past the greedy cutoff."""
-    _check_source_targets(source_point, source_mass, targets)
+    check_source_targets(source_point, source_mass, targets)
     source_point = np.asarray(source_point, dtype=float)
     d = targets.dimension
     if params is None:

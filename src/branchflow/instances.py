@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import mass_tolerance
 from .errors import InputError
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, check_source_targets
 from .network import TransportNetwork
 
 GENERATORS = ("uniform-square", "circle", "disk-random", "disk-uniform")
@@ -47,17 +46,7 @@ class Instance:
             raise InputError(f"source point is not finite: {self.source_point}")
         if not (np.isfinite(self.source_mass) and self.source_mass > 0):
             raise InputError(f"source mass must be positive, got {self.source_mass}")
-        if self.targets.dimension != self.source_point.shape[0]:
-            raise InputError(
-                f"source has dimension {self.source_point.shape[0]} but targets "
-                f"have dimension {self.targets.dimension}")
-        for v in self.targets.validate():
-            raise InputError(f"target atom {v.index}: {v.kind} ({v.detail})")
-        gap = abs(self.targets.total_mass() - self.source_mass)
-        if gap > mass_tolerance(self.source_mass):
-            raise InputError(
-                f"target masses sum to {self.targets.total_mass()!r} but the "
-                f"source supplies {self.source_mass!r}")
+        check_source_targets(self.source_point, self.source_mass, self.targets)
 
 
 # ---------------- synthetic point generators ----------------

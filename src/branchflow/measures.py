@@ -13,6 +13,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .config import mass_tolerance
+from .errors import InputError
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -44,10 +47,6 @@ class Cube:
     @property
     def center(self) -> np.ndarray:
         return (np.asarray(self.lo) + np.asarray(self.hi)) / 2.0
-
-    @property
-    def side(self) -> float:
-        return max(h - l for l, h in zip(self.lo, self.hi))
 
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
@@ -180,3 +179,32 @@ def diameter(points: np.ndarray) -> float:
         return 0.0
     span = pts.max(axis=0) - pts.min(axis=0)
     return float(np.sqrt(np.sum(span * span)))
+
+
+def check_source_targets(source_point, source_mass: float, targets: AtomicMeasure) -> None:
+    """Reject a target measure that a single-atom source cannot be routed onto.
+
+    The targets must be non-empty, share the source's dimension, pass
+    AtomicMeasure.validate, and sum to the source mass within the balance
+    tolerance.  Every atom must also weigh more than that tolerance: the
+    optimizers prune edges at or below it, so a lighter atom would be cut off.
+    """
+    if targets.n < 1:
+        raise InputError("need at least one target")
+    d = np.asarray(source_point, dtype=float).shape[0]
+    if targets.dimension != d:
+        raise InputError(
+            f"source has dimension {d} but targets have dimension {targets.dimension}")
+    bad = targets.validate()
+    if bad:
+        raise InputError(f"target atom {bad[0].index}: {bad[0].kind} ({bad[0].detail})")
+    tol = mass_tolerance(source_mass)
+    for i, m in enumerate(targets.masses):
+        if m <= tol:
+            raise InputError(
+                f"target atom {i}: mass {float(m)!r} is at or below the balance "
+                f"tolerance {tol!r} (1e-9 of the source mass)")
+    if abs(targets.total_mass() - source_mass) > tol:
+        raise InputError(
+            f"target masses sum to {targets.total_mass()!r} but the "
+            f"source supplies {source_mass!r}")

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import OptimizeConfig, cost_tolerance, mass_tolerance
 from .construct import build_small, build_star, build_subdivision
-from .errors import InputError
+from .errors import InputError, InvariantViolation
 from .measures import AtomicMeasure, diameter
 from .network import TransportNetwork
 from .optimize_local import local_sweep
@@ -43,19 +43,11 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class PotentialQuery:
-    vertex: int
-    t: float
-    value: float
-
-
-@dataclass(frozen=True)
 class ReparentProposal:
     child: int
     new_parent: int
     gain: float
     sigma: float
-    c_values: dict[int, float] = field(default_factory=dict)
 
 
 def potential(net: TransportNetwork, u: int, t: float, alpha: float) -> float:
@@ -141,54 +133,39 @@ def _extra_costs(net: TransportNetwork, u: int, alpha: float) -> dict[int, float
     return c
 
 
-def candidate_parents(net: TransportNetwork, u: int, alpha: float) -> tuple[float, list[int]]:
-    """Search radius sigma and the vertices inside it outside u's subtree."""
+def _reparent_terms(net: TransportNetwork, u: int,
+                    alpha: float) -> tuple[float, float, float, dict[int, float]]:
+    """S, sigma = S / m_u**alpha, m_u**alpha and the c(v) table for moving u."""
     m_u = net.edge_mass(u)
+    ma = m_u ** alpha
     s_val = potential(net, u, m_u, alpha)
-    sigma = s_val / m_u ** alpha
-    blocked = set(net.subtree(u))
-    pu = net.point(u)
-    out = []
-    for v in net.vertices():
-        if v in blocked:
-            continue
-        if float(np.linalg.norm(net.point(v) - pu)) <= sigma * (1.0 + 1e-12):
-            out.append(v)
-    parent = net.parent(u)
-    if parent is not None and parent not in out:
-        out.append(parent)
-        out.sort()
-    return sigma, out
+    return s_val, s_val / ma, ma, _extra_costs(net, u, alpha)
 
 
 def predicted_gain(net: TransportNetwork, u: int, v: int, alpha: float) -> float:
     """S - T(v): the exact cost drop of reattaching u below v."""
     if net.is_descendant(v, u):
         raise ValueError(f"vertex {v} lies inside the subtree of {u}")
-    m_u = net.edge_mass(u)
-    s_val = potential(net, u, m_u, alpha)
-    c = _extra_costs(net, u, alpha)
-    t_val = c[v] + float(np.linalg.norm(net.point(v) - net.point(u))) * m_u ** alpha
-    return s_val - t_val
+    s_val, _, ma, c = _reparent_terms(net, u, alpha)
+    return s_val - (c[v] + float(np.linalg.norm(net.point(v) - net.point(u))) * ma)
 
 
 def evaluate_reparent(net: TransportNetwork, u: int, alpha: float,
                       eps_improve: float) -> ReparentProposal | None:
-    """Best new parent for u, or None when nothing beats the current one."""
+    """Best new parent for u, or None when nothing beats the current one.
+
+    The candidates are the vertices outside u's subtree, other than its
+    parent and reachable from the root, in the closed ball of radius sigma
+    around u; the lowest id wins a tie."""
     if u == net.root or net.parent(u) is None:
         return None
-    m_u = net.edge_mass(u)
-    ma = m_u ** alpha
-    s_val = potential(net, u, m_u, alpha)
-    sigma = s_val / ma
+    s_val, sigma, ma, c_all = _reparent_terms(net, u, alpha)
     blocked = set(net.subtree(u))
     parent = net.parent(u)
-    c_all = _extra_costs(net, u, alpha)
     pu = net.point(u)
 
     best_v = None
     best_t = math.inf
-    c_values: dict[int, float] = {}
     for v in net.vertices():
         if v in blocked or v == parent:
             continue
@@ -197,15 +174,13 @@ def evaluate_reparent(net: TransportNetwork, u: int, alpha: float,
         dist = float(np.linalg.norm(net.point(v) - pu))
         if dist > sigma * (1.0 + 1e-12):
             continue
-        c_values[v] = c_all[v]
         t_val = c_all[v] + dist * ma
         if t_val < best_t:
             best_t = t_val
             best_v = v
     if best_v is None or s_val - best_t <= eps_improve:
         return None
-    return ReparentProposal(child=u, new_parent=best_v, gain=s_val - best_t,
-                            sigma=sigma, c_values=c_values)
+    return ReparentProposal(child=u, new_parent=best_v, gain=s_val - best_t, sigma=sigma)
 
 
 def rewire(net: TransportNetwork, u: int, new_parent: int) -> None:
@@ -284,11 +259,28 @@ _INITIALIZERS = {
 }
 
 
+def _check_result(net: TransportNetwork, source: AtomicMeasure,
+                  targets: AtomicMeasure) -> None:
+    """Raise InvariantViolation unless net is one tree that delivers every
+    target atom and balances within the mass tolerance."""
+    problems = net.validate_structure()
+    balance = net.check_balance(source, targets)
+    if balance.missing:
+        problems.append(f"{len(balance.missing)} atoms have no vertex at their position")
+    worst = balance.max_abs()
+    if worst > mass_tolerance(source.total_mass()):
+        problems.append(f"flow residual {worst!r} exceeds the balance tolerance")
+    if problems:
+        raise InvariantViolation("global_optimize: " + "; ".join(problems), network=net)
+
+
 def global_optimize(source: AtomicMeasure, targets: AtomicMeasure, alpha: float,
                     config: OptimizeConfig | None = None, trace: list | None = None,
                     observer=None) -> TransportNetwork:
     """Full pipeline: construct, then loop local sweeps, edge subdivision and
-    reparent passes until a round stops paying; finish canonical.
+    reparent passes until a round stops paying; finish canonical.  Raises
+    InvariantViolation when the result is not one tree that delivers every
+    target atom with the flow balanced within the mass tolerance.
 
     At alpha = 1 branching never pays, so the loop skips subdivision and
     reparenting and the local sweeps flatten everything onto the source.
@@ -344,6 +336,7 @@ def global_optimize(source: AtomicMeasure, targets: AtomicMeasure, alpha: float,
             break
 
     net.canonicalize(collapse_passthrough=True)
+    _check_result(net, source, targets)
     notify("final")
     if trace is not None:
         trace.append(("final", None, cost, net.cost_m_alpha(alpha)))

@@ -11,22 +11,11 @@ a local minimum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import OptimizeConfig, cost_tolerance, mass_tolerance
 from .construct import _Active, _greedy_small
-from .measures import AtomicMeasure
 from .network import TransportNetwork
-
-
-@dataclass(frozen=True)
-class VertexStar:
-    center: int
-    mu_p: AtomicMeasure  # the inflow, one atom at the parent's position
-    mu_c: AtomicMeasure  # children masses, plus mass consumed at the center
-    old_cost: float
 
 
 def star_cost(net: TransportNetwork, u: int, alpha: float) -> float:
@@ -51,19 +40,6 @@ def _star_pool(net: TransportNetwork, u: int) -> list[tuple[int, np.ndarray, flo
     elif abs(consumed) > mass_tolerance(net.source_mass):
         return None  # helper vertex leaking flow: refuse to touch it
     return pool
-
-
-def extract_star(net: TransportNetwork, u: int, alpha: float) -> VertexStar | None:
-    """The local sub-problem around u, or None when u is the root, a leaf,
-    or disconnected."""
-    if u == net.root or not net.children(u) or net.parent(u) is None:
-        return None
-    pool = _star_pool(net, u)
-    if pool is None:
-        return None
-    mu_p = AtomicMeasure([net.point(net.parent(u)).copy()], [net.edge_mass(u)])
-    mu_c = AtomicMeasure.from_atoms([(pt, m) for _, pt, m in pool])
-    return VertexStar(center=u, mu_p=mu_p, mu_c=mu_c, old_cost=star_cost(net, u, alpha))
 
 
 def improve_vertex(net: TransportNetwork, u: int, alpha: float,

@@ -25,7 +25,7 @@ from scipy.optimize import minimize
 
 from .bifurcation import BifurcationInput, _objective_batch, objective_f, solve_two_targets
 from .errors import InputError
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, check_source_targets
 from .network import TransportNetwork
 
 logger = logging.getLogger(__name__)
@@ -315,6 +315,7 @@ def enumerate_optimal(source: AtomicMeasure, targets: AtomicMeasure, alpha: floa
         raise InputError(f"alpha must lie in (0, 1], got {alpha}")
     src = source.points[0]
     m_total = source.total_mass()
+    check_source_targets(src, m_total, targets)
     points = targets.points
     masses = targets.masses
 

@@ -2,12 +2,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from branchflow import cli
+import branchflow
+from branchflow import cli, optimize_global
+from branchflow.config import INITIALIZERS
 from branchflow.errors import InvariantViolation
-from branchflow.instances import import_network
+from branchflow.instances import export_network, import_network, parse_instance
 from branchflow.network import TransportNetwork
 
 SPOT = {
@@ -16,6 +19,18 @@ SPOT = {
     "targets": [
         {"point": [2.0, 1.0], "mass": 0.5},
         {"point": [2.0, -1.0], "mass": 0.5},
+    ],
+}
+
+
+# two atoms at or below the balance tolerance (1e-9 of the source mass)
+LIGHT_ATOMS = {
+    "alpha": 0.5,
+    "source": {"point": [0.0, 0.0], "mass": 1.0},
+    "targets": [
+        {"point": [1.0, 0.0], "mass": 1.0 - 1e-12},
+        {"point": [0.0, 1.0], "mass": 5e-13},
+        {"point": [1.0, 1.0], "mass": 5e-13},
     ],
 }
 
@@ -108,6 +123,21 @@ def test_init_star_initializer(capsys, spot_file):
     assert all(net.parent(v) == net.root for v in net.vertices() if v != net.root)
 
 
+def test_init_matches_each_builder(capsys, spot_file):
+    inst = parse_instance(Path(spot_file).read_bytes(), "json")
+    for name in INITIALIZERS:
+        code, out, _ = run_cli(capsys, "init", "--input", spot_file, "--initializer", name)
+        assert code == 0
+        build = optimize_global._INITIALIZERS[name]
+        net = build(inst.source_point, inst.source_mass, inst.targets, inst.alpha)
+        assert out.encode() == export_network(net, inst.alpha), name
+
+
+def test_public_names_resolve():
+    for name in branchflow.__all__:
+        assert getattr(branchflow, name) is not None, name
+
+
 def test_oracle_subcommand(capsys, spot_file):
     code, out, _ = run_cli(capsys, "oracle", "--input", spot_file)
     assert code == 0
@@ -139,6 +169,31 @@ def test_input_errors_exit_2(capsys, tmp_path):
     wrong_alpha.write_text(json.dumps({**SPOT, "alpha": 2.0}))
     code, _, err = run_cli(capsys, "solve", "--input", str(wrong_alpha))
     assert code == 2 and "alpha" in err
+
+
+def test_light_target_atoms_exit_2(capsys, tmp_path):
+    path = tmp_path / "light.json"
+    path.write_text(json.dumps(LIGHT_ATOMS))
+    for command in ("solve", "init", "oracle"):
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 2 and out == "", command
+        assert "target atom 1" in err and "tolerance" in err
+
+
+def test_broken_final_tree_exits_3(capsys, monkeypatch, spot_file):
+    real = TransportNetwork.canonicalize
+
+    def drop_a_leaf(self, collapse_passthrough=False, eps_merge=None):
+        real(self, collapse_passthrough, eps_merge)
+        if collapse_passthrough:  # only the final call in global_optimize
+            self.remove_edge(self.terminals()[-1])
+
+    monkeypatch.setattr(TransportNetwork, "canonicalize", drop_a_leaf)
+    code, out, err = run_cli(capsys, "solve", "--input", spot_file)
+    assert code == 3 and out == ""
+    assert "invariant violation: global_optimize" in err
+    assert "disconnected from the root" in err
+    assert '"vertices"' in err
 
 
 def test_invariant_violation_exit_3_dumps_network(capsys, monkeypatch, spot_file):

@@ -106,3 +106,7 @@ def test_build_rejects_bad_inputs():
     dup = AtomicMeasure([[1.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
     with pytest.raises(InputError):
         build_small((0.0, 0.0), 1.0, dup, 0.5)
+    # atoms at or below the balance tolerance would be pruned away
+    light = AtomicMeasure([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0 - 1e-12, 5e-13, 5e-13])
+    with pytest.raises(InputError, match="tolerance"):
+        build_star((0.0, 0.0), 1.0, light, 0.5)

@@ -54,7 +54,6 @@ def test_cube_contains_half_open_faces():
     assert cube.contains((0.5, 1.0))
     assert not cube.contains((1.0, 0.5))
     assert not cube.contains((-0.1, 0.5))
-    assert cube.side == pytest.approx(1.0)
     assert np.allclose(cube.center, [0.5, 0.5])
 
 

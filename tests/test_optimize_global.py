@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from branchflow.config import OptimizeConfig, cost_tolerance
+from branchflow import optimize_global
+from branchflow.config import INITIALIZERS, OptimizeConfig, cost_tolerance
 from branchflow.construct import build_subdivision
 from branchflow.errors import InputError
 from branchflow.instances import export_network
 from branchflow.measures import AtomicMeasure
 from branchflow.network import TransportNetwork
 from branchflow.optimize_global import (
-    candidate_parents,
     evaluate_reparent,
     global_optimize,
     potential,
@@ -46,15 +46,6 @@ def test_potential_chain_values():
     assert potential(net, b, -1.0, 0.5) == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError):
         potential(net, b, 1.5, 0.5)
-
-
-def test_candidate_parents_radius():
-    net, a, b = unit_chain()
-    sigma, cands = candidate_parents(net, b, 0.5)
-    assert sigma == pytest.approx(2.0, abs=1e-12)
-    assert net.root in cands  # distance 2 = sigma: inside the closed ball
-    assert b not in cands
-    assert a in cands
 
 
 def test_shift_mass_full_and_partial():
@@ -111,7 +102,71 @@ def test_evaluate_reparent_finds_trunk():
     assert proposal.new_parent == h
     assert proposal.gain > 1.0
     assert proposal.sigma >= 5.0
-    assert h in proposal.c_values
+
+
+def brute_force_reparent(net, u, alpha):
+    """(argmax, max) of predicted_gain over the closed sigma ball around u,
+    outside u's subtree and other than its parent; ties go to the lowest id."""
+    m_u = net.edge_mass(u)
+    sigma = potential(net, u, m_u, alpha) / m_u ** alpha
+    best_v, best_gain = None, -math.inf
+    for v in net.vertices():
+        if net.is_descendant(v, u) or v == net.parent(u):
+            continue
+        if float(np.linalg.norm(net.point(v) - net.point(u))) > sigma * (1.0 + 1e-12):
+            continue
+        gain = predicted_gain(net, u, v, alpha)
+        if gain > best_gain:
+            best_v, best_gain = v, gain
+    return best_v, best_gain
+
+
+def assert_reparent_matches_brute_force(net, u, alpha, eps):
+    best_v, best_gain = brute_force_reparent(net, u, alpha)
+    proposal = evaluate_reparent(net, u, alpha, eps)
+    if best_v is None or best_gain <= eps:
+        assert proposal is None
+    else:
+        assert proposal is not None
+        assert (proposal.new_parent, proposal.gain) == (best_v, best_gain)
+
+
+def test_evaluate_reparent_matches_brute_force():
+    # unit chain: the root sits at exactly sigma = 2 from b and its gain is 0
+    net, a, b = unit_chain()
+    assert brute_force_reparent(net, b, 0.5) == (net.root, 0.0)
+    assert evaluate_reparent(net, b, 0.5, 0.0) is None
+    proposal = evaluate_reparent(net, b, 0.5, -1.0)
+    assert proposal.new_parent == net.root and proposal.sigma == 2.0
+
+    # mirror-image junctions h1 and h2 tie exactly as new parents of u
+    net = TransportNetwork((0.0, 0.0), 1.0)
+    h1 = net.add_vertex((-1.0, 2.0))
+    h2 = net.add_vertex((1.0, 2.0))
+    for h, x in ((h1, -1.0), (h2, 1.0)):
+        net.add_edge(net.root, h, 0.4)
+        net.add_edge(h, net.add_vertex((x, 4.0), terminal=True), 0.4)
+    u = net.add_vertex((0.0, 3.0), terminal=True)
+    net.add_edge(net.root, u, 0.2)
+    assert predicted_gain(net, u, h1, 0.5) == predicted_gain(net, u, h2, 0.5)
+    assert evaluate_reparent(net, u, 0.5, 1e-9).new_parent == h1
+    assert_reparent_matches_brute_force(net, u, 0.5, 1e-9)
+
+    rng = np.random.default_rng(16)
+    proposals = 0
+    for alpha in (0.5, 0.75):
+        pts = rng.uniform(0.0, 1.0, size=(25, 2))
+        ms = rng.uniform(0.1, 1.0, size=25)
+        net = build_subdivision((0.0, 0.0), float(ms.sum()), AtomicMeasure(pts, ms), alpha)
+        subdivide_long_edges(net, OptimizeConfig(subdivide_factor=1.0))
+        for u in net.vertices():
+            if u == net.root:
+                continue
+            assert_reparent_matches_brute_force(net, u, alpha, 1e-9)
+            _, best_gain = brute_force_reparent(net, u, alpha)
+            assert_reparent_matches_brute_force(net, u, alpha, best_gain)
+            proposals += evaluate_reparent(net, u, alpha, 1e-9) is not None
+    assert proposals > 0
 
 
 def test_predicted_gain_matches_direct_recomputation():
@@ -241,6 +296,10 @@ def test_global_optimize_initializers_on_spot():
     net = global_optimize(SPOT_SRC, SPOT_TG, 0.5, OptimizeConfig(initializer="star"))
     assert net.cost_m_alpha(0.5) == pytest.approx(math.sqrt(10.0), abs=1e-9)
     assert net.validate_structure() == []
+
+
+def test_initializer_table_matches_config_names():
+    assert set(optimize_global._INITIALIZERS) == set(INITIALIZERS)
 
 
 def test_global_optimize_input_errors():

@@ -6,9 +6,10 @@ import pytest
 
 from branchflow.config import OptimizeConfig, cost_tolerance
 from branchflow.construct import build_subdivision
+from branchflow.instances import export_network
 from branchflow.measures import AtomicMeasure
 from branchflow.network import TransportNetwork
-from branchflow.optimize_local import extract_star, improve_vertex, local_sweep, star_cost
+from branchflow.optimize_local import _star_pool, improve_vertex, local_sweep, star_cost
 
 
 def displaced_junction_net(j_point=(1.7, 0.8)):
@@ -29,45 +30,45 @@ def test_star_cost_hand_value():
     assert star_cost(net, j, 0.5) == pytest.approx(want, abs=1e-12)
 
 
-def test_extract_star_skips_root_and_leaves():
+def test_improve_vertex_skips_root_and_leaves():
     net, j = displaced_junction_net()
-    assert extract_star(net, net.root, 0.5) is None
+    before = export_network(net, 0.5)
+    assert not improve_vertex(net, net.root, 0.5, 0.0)
     leaf = net.children(j)[0]
-    assert extract_star(net, leaf, 0.5) is None
+    assert not improve_vertex(net, leaf, 0.5, 0.0)
+    assert export_network(net, 0.5) == before
 
 
-def test_extract_star_helper():
+def test_star_pool_helper():
     net, j = displaced_junction_net(j_point=(1.0, 0.0))
-    star = extract_star(net, j, 0.5)
-    assert star is not None
-    assert star.center == j
-    assert star.mu_p.n == 1
-    assert np.allclose(star.mu_p.points[0], [0.0, 0.0])
-    assert star.mu_p.total_mass() == pytest.approx(1.0)
-    assert star.mu_c.n == 2
-    assert star.mu_c.total_mass() == pytest.approx(1.0)
-    assert star.old_cost == pytest.approx(star_cost(net, j, 0.5))
+    pool = _star_pool(net, j)
+    assert [vid for vid, _, _ in pool] == net.children(j)
+    for vid, pt, m in pool:
+        assert np.array_equal(pt, net.point(vid))
+        assert m == net.edge_mass(vid)
+    assert sum(m for _, _, m in pool) == pytest.approx(net.edge_mass(j))
 
 
-def test_extract_star_flow_through_target():
+def test_star_pool_flow_through_target():
     net = TransportNetwork((0.0, 0.0), 1.0)
     t = net.add_vertex((1.0, 0.0), terminal=True)
     leaf = net.add_vertex((2.0, 0.0), terminal=True)
     net.add_edge(net.root, t, 1.0)
     net.add_edge(t, leaf, 0.6)
-    star = extract_star(net, t, 0.5)
-    assert star is not None
+    pool = _star_pool(net, t)
     # the pool carries the downstream leaf plus the 0.4 consumed at t
-    assert star.mu_c.n == 2
-    assert star.mu_c.total_mass() == pytest.approx(1.0)
-    masses = sorted(star.mu_c.masses.tolist())
-    assert masses == pytest.approx([0.4, 0.6])
+    assert [vid for vid, _, _ in pool] == [leaf, t]
+    assert [m for _, _, m in pool] == pytest.approx([0.6, 0.4])
+    assert np.array_equal(pool[1][1], net.point(t))
 
 
-def test_extract_star_refuses_leaky_helper():
+def test_star_pool_refuses_leaky_helper():
     net, j = displaced_junction_net()
     net.set_weight(net.children(j)[0], 0.25)  # helper now leaks 0.25
-    assert extract_star(net, j, 0.5) is None
+    assert _star_pool(net, j) is None
+    before = export_network(net, 0.5)
+    assert not improve_vertex(net, j, 0.5, 0.0)
+    assert export_network(net, 0.5) == before
 
 
 def test_improve_vertex_moves_junction_to_optimum():
