@@ -42,12 +42,11 @@ from .optimize_global import (
     global_optimize,
     potential,
     reparent_pass,
-    shift_mass,
     subdivide_long_edges,
 )
 from .optimize_local import improve_vertex, local_sweep
 from .oracle import enumerate_optimal, grid_minimize_f, topologies
-from .svg import RenderStyle, render_svg
+from .svg import render_svg
 
 __version__ = "0.1.0"
 
@@ -66,7 +65,6 @@ __all__ = [
     "Instance",
     "InvariantViolation",
     "OptimizeConfig",
-    "RenderStyle",
     "TransportNetwork",
     "advantage",
     "balance_residual",
@@ -90,7 +88,6 @@ __all__ = [
     "potential",
     "render_svg",
     "reparent_pass",
-    "shift_mass",
     "solve_two_targets",
     "subdivide_long_edges",
     "topologies",

@@ -70,10 +70,6 @@ class BifurcationInput:
     def m_o(self) -> float:
         return self.m_p + self.m_q
 
-    def cost_tolerance(self) -> float:
-        scale = _norm(self.p - self.o) + _norm(self.q - self.o)
-        return 1e-9 * scale * self.m_o ** self.alpha
-
 
 @dataclass(frozen=True)
 class BifurcationResult:

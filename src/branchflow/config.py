@@ -15,17 +15,11 @@ INITIALIZERS = ("subdivision", "star", "small")
 
 @dataclass
 class OptimizeConfig:
-    """Knobs for the optimization pipeline.
-
-    max_vertices is an absolute cap on vertex count during edge subdivision;
-    when None it defaults to 20x the number of targets at run time.
-    """
+    """Settings of the optimization pipeline; each backs a `solve` flag."""
 
     rel_tol: float = REL_TOL
     max_rounds: int = 50
-    max_local_sweeps: int = 200
     subdivide_factor: float = 2.0
-    max_vertices: int | None = None
     initializer: str = "subdivision"
 
     def validate(self) -> None:
@@ -33,8 +27,8 @@ class OptimizeConfig:
             raise ValueError(f"unknown initializer {self.initializer!r}")
         if self.rel_tol <= 0 or self.subdivide_factor <= 0:
             raise ValueError("tolerances and factors must be positive")
-        if self.max_rounds < 1 or self.max_local_sweeps < 1:
-            raise ValueError("iteration caps must be >= 1")
+        if self.max_rounds < 1:
+            raise ValueError("max_rounds must be >= 1")
 
 
 def mass_tolerance(total_mass: float) -> float:

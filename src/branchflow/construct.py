@@ -18,8 +18,6 @@ build_star is the trivial baseline: one direct edge per target.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bifurcation import BifurcationInput, BranchCase, objective_f, solve_two_targets
@@ -28,19 +26,6 @@ from .measures import AtomicMeasure, Cube, bounding_cube, check_source_targets
 from .network import TransportNetwork
 
 MAX_DEPTH = 32
-
-
-@dataclass(frozen=True)
-class SubdivisionParams:
-    lam: int
-    capacity: int  # lam ** d, the small-case cutoff and the cell fan-out
-
-    @classmethod
-    def for_dimension(cls, d: int) -> "SubdivisionParams":
-        if d < 2:
-            raise InputError("instances must live in dimension >= 2")
-        lam = 3 if d == 2 else 2
-        return cls(lam=lam, capacity=lam ** d)
 
 
 class _Active:
@@ -150,13 +135,15 @@ def build_star(source_point, source_mass: float, targets: AtomicMeasure,
 
 
 def build_subdivision(source_point, source_mass: float, targets: AtomicMeasure,
-                      alpha: float, params: SubdivisionParams | None = None) -> TransportNetwork:
+                      alpha: float) -> TransportNetwork:
     """Recursive cell summary construction; scales past the greedy cutoff."""
     check_source_targets(source_point, source_mass, targets)
     source_point = np.asarray(source_point, dtype=float)
     d = targets.dimension
-    if params is None:
-        params = SubdivisionParams.for_dimension(d)
+    if d < 2:
+        raise InputError("instances must live in dimension >= 2")
+    lam = 3 if d == 2 else 2
+    capacity = lam ** d  # the small-case cutoff and the cell fan-out
 
     net = TransportNetwork(source_point, source_mass)
     leaf_ids = [net.add_vertex(targets.points[i], terminal=True) for i in range(targets.n)]
@@ -168,17 +155,17 @@ def build_subdivision(source_point, source_mass: float, targets: AtomicMeasure,
         n = len(atom_idx)
         if n == 0:
             return
-        if n <= params.capacity or depth >= MAX_DEPTH:
+        if n <= capacity or depth >= MAX_DEPTH:
             pool = [_Active(leaf_ids[i], targets.points[i], float(targets.masses[i]))
                     for i in atom_idx]
-            if n <= params.capacity:
+            if n <= capacity:
                 _greedy_small(net, src_vid, src_mass, pool, alpha)
             else:  # depth cap: refuse to recurse further, star the cell out
                 for entry in pool:
                     net.add_edge(src_vid, entry.vid, entry.mass)
             return
         groups: list[tuple[Cube, list[int]]] = []
-        for sub in cell.split(params.lam):
+        for sub in cell.split(lam):
             members = [i for i in atom_idx if sub.contains(targets.points[i])]
             if members:
                 groups.append((sub, members))

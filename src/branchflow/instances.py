@@ -34,7 +34,6 @@ class Instance:
     source_point: np.ndarray
     source_mass: float
     targets: AtomicMeasure
-    seed: int | None = None
 
     def source_measure(self) -> AtomicMeasure:
         return AtomicMeasure([self.source_point], [self.source_mass])
@@ -131,7 +130,7 @@ def parse_instance(data: bytes | str, fmt: str, alpha: float | None = None,
     if fmt == "json":
         inst = _parse_json(data, alpha, seed)
     elif fmt == "csv":
-        inst = _parse_csv(data, alpha, seed)
+        inst = _parse_csv(data, alpha)
     else:
         raise InputError(f"unknown instance format {fmt!r}; expected json or csv")
     inst.validate()
@@ -147,13 +146,13 @@ def _parse_json(text: str, alpha: float | None, seed: int | None) -> Instance:
         raise InputError("instance document must be a JSON object")
 
     if alpha is None:
-        alpha = doc.get("alpha")
-        if alpha is None:
+        if doc.get("alpha") is None:
             raise InputError("alpha missing: set it in the document or pass --alpha")
+        alpha = _number(doc["alpha"], "alpha")
     if seed is None:
         seed = doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise InputError(f"seed must be an integer, got {seed!r}")
+    if seed is not None and not (_is_int(seed) and seed >= 0):
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
 
     src = doc.get("source")
     if not isinstance(src, dict) or "point" not in src or "mass" not in src:
@@ -184,16 +183,15 @@ def _parse_json(text: str, alpha: float | None, seed: int | None) -> Instance:
         if not isinstance(spec, dict) or "kind" not in spec or "count" not in spec:
             raise InputError('generator must be {"kind": k, "count": n, "region": {...}}')
         count = spec["count"]
-        if not isinstance(count, int):
+        if not _is_int(count):
             raise InputError(f"generator count must be an integer, got {count!r}")
         pts = generate_points(spec["kind"], count, spec.get("region"), seed)
         targets = AtomicMeasure(pts, np.full(count, source_mass / count))
 
-    return Instance(float(alpha), source_point, source_mass, targets,
-                    seed=seed)
+    return Instance(float(alpha), source_point, source_mass, targets)
 
 
-def _parse_csv(text: str, alpha: float | None, seed: int | None) -> Instance:
+def _parse_csv(text: str, alpha: float | None) -> Instance:
     if alpha is None:
         raise InputError("alpha must be passed explicitly for csv input")
     rows = list(csv.reader(io.StringIO(text)))
@@ -221,21 +219,32 @@ def _parse_csv(text: str, alpha: float | None, seed: int | None) -> Instance:
         pts.append(p)
         ms.append(m)
     targets = AtomicMeasure(np.stack(pts), np.array(ms))
-    return Instance(float(alpha), source_point, source_mass, targets, seed=seed)
+    return Instance(float(alpha), source_point, source_mass, targets)
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _number(val, where: str) -> float:
+    """float(val) for a JSON number or numeric string; JSON booleans and
+    anything float() cannot take raise InputError."""
+    if not isinstance(val, bool):
+        try:
+            return float(val)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(f"{where} must be a number, got {val!r}")
 
 
 def _point(val, where: str) -> np.ndarray:
-    arr = np.asarray(val, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] < 2:
+    if not isinstance(val, list) or len(val) < 2:
         raise InputError(f"{where} must be a coordinate list with d >= 2")
-    return arr
+    return np.array([_number(c, f"{where}[{i}]") for i, c in enumerate(val)])
 
 
 def _mass(val, where: str) -> float:
-    try:
-        m = float(val)
-    except (TypeError, ValueError):
-        raise InputError(f"{where} must be a number, got {val!r}") from None
+    m = _number(val, where)
     if not (np.isfinite(m) and m > 0):
         raise InputError(f"{where} must be positive and finite, got {m}")
     return m

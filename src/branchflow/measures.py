@@ -9,7 +9,7 @@ its atoms exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -101,15 +101,6 @@ class AtomicMeasure:
         self.points = pts
         self.masses = ms
 
-    @classmethod
-    def from_atoms(cls, atoms: Iterable[tuple]) -> "AtomicMeasure":
-        atoms = list(atoms)
-        if not atoms:
-            raise ValueError("measure needs at least one atom")
-        points = [a[0] for a in atoms]
-        masses = [a[1] for a in atoms]
-        return cls(points, masses)
-
     @property
     def n(self) -> int:
         return self.points.shape[0]
@@ -141,22 +132,12 @@ class AtomicMeasure:
                 seen[key] = i
         return out
 
-    def restrict(self, cube: Cube) -> "AtomicMeasure":
-        """Sub-measure of atoms inside the box; may be empty."""
-        if self.n == 0:
-            return self
-        mask = np.array([cube.contains(self.points[i]) for i in range(self.n)])
-        return AtomicMeasure(self.points[mask].copy(), self.masses[mask].copy())
-
-    def is_empty(self) -> bool:
-        return self.n == 0
-
     def __repr__(self) -> str:
         return f"AtomicMeasure(n={self.n}, total={self.total_mass():g})"
 
 
-def bounding_cube(points: np.ndarray, inflate: float = 0.01) -> Cube:
-    """Smallest axis-aligned cube containing the points, inflated slightly.
+def bounding_cube(points: np.ndarray) -> Cube:
+    """Smallest axis-aligned cube containing the points, inflated by 1%.
 
     Equal side on every axis (centered on the data), upper faces closed.
     A degenerate point set (single point) gets unit side.
@@ -167,7 +148,7 @@ def bounding_cube(points: np.ndarray, inflate: float = 0.01) -> Cube:
     side = float((hi - lo).max())
     if side <= 0.0:
         side = 1.0
-    side *= 1.0 + inflate
+    side *= 1.01
     center = (lo + hi) / 2.0
     return Cube.from_bounds(center - side / 2.0, center + side / 2.0)
 

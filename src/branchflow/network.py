@@ -108,12 +108,6 @@ class TransportNetwork:
             raise KeyError(f"vertex {child} has no parent edge")
         self._weight[child] = float(weight)
 
-    def reparent(self, child: int, new_parent: int, weight: float | None = None) -> None:
-        if weight is None:
-            weight = self._weight[child]
-        self.remove_edge(child)
-        self.add_edge(new_parent, child, weight)
-
     def remove_vertex(self, vid: int) -> None:
         if vid == self.root:
             raise InvariantViolation("cannot remove the root", network=self)
@@ -327,14 +321,13 @@ class TransportNetwork:
 
     # ---------------- canonical form ----------------
 
-    def canonicalize(self, collapse_passthrough: bool = False,
-                     eps_merge: float | None = None) -> None:
-        """Normalize in place: drop negligible edges, merge coincident
-        vertices, remove isolated helpers, optionally splice out exact
-        pass-through vertices.  Idempotent."""
+    def canonicalize(self, collapse_passthrough: bool = False) -> None:
+        """Normalize in place: drop negligible edges, merge vertices within
+        merge_tolerance of the bounding-box diameter, remove isolated
+        helpers, optionally splice out exact pass-through vertices.
+        Idempotent."""
         eps_w = mass_tolerance(self.source_mass)
-        if eps_merge is None:
-            eps_merge = merge_tolerance(self.bbox_diameter())
+        eps_merge = merge_tolerance(self.bbox_diameter())
 
         changed = True
         while changed:

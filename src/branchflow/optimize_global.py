@@ -63,29 +63,12 @@ def potential(net: TransportNetwork, u: int, t: float, alpha: float) -> float:
     return total
 
 
-def shift_mass(net: TransportNetwork, t: float, u: int) -> TransportNetwork:
-    """Copy of the network with t units removed along u's root path.
-
-    Edges whose weight drops to (or below) the balance tolerance disappear;
-    the result then carries the source measure minus t at the root plus t
-    at u."""
-    out = net.copy()
-    path = out.path_to_root(u)[1:]
-    eps_w = mass_tolerance(out.source_mass)
-    for vid in path:
-        out.set_weight(vid, out.edge_mass(vid) - t)
-    for vid in path:
-        if out.parent(vid) is not None and out.edge_mass(vid) <= eps_w:
-            out.remove_edge(vid)
-    return out
-
-
 def subdivide_long_edges(net: TransportNetwork, config: OptimizeConfig) -> list[int]:
     """Split every edge much longer than the mean at its midpoint.
 
     The midpoints are pass-through vertices that cost nothing but give the
     reparent pass attachment points along long corridors.  Returns the new
-    vertex ids; the vertex budget caps how many splits happen.
+    vertex ids; splitting stops once the network has 20 vertices per target.
     """
     edges = net.edges()
     if not edges:
@@ -93,9 +76,7 @@ def subdivide_long_edges(net: TransportNetwork, config: OptimizeConfig) -> list[
     lengths = [net.edge_length(child) for _, child, _ in edges]
     mean = sum(lengths) / len(lengths)
     threshold = config.subdivide_factor * mean
-    cap = config.max_vertices
-    if cap is None:
-        cap = 20 * max(1, len(net.terminals()))
+    cap = 20 * max(1, len(net.terminals()))
     created: list[int] = []
     for (parent, child, w), length in zip(edges, lengths):
         if length <= threshold:

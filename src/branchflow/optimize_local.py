@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import OptimizeConfig, cost_tolerance, mass_tolerance
+from .config import OptimizeConfig, mass_tolerance
 from .construct import _Active, _greedy_small
 from .network import TransportNetwork
+
+MAX_LOCAL_SWEEPS = 200
 
 
 def star_cost(net: TransportNetwork, u: int, alpha: float) -> float:
@@ -87,20 +89,17 @@ def improve_vertex(net: TransportNetwork, u: int, alpha: float,
     return True
 
 
-def local_sweep(net: TransportNetwork, alpha: float, config: OptimizeConfig | None = None,
-                eps_improve: float | None = None, trace: list | None = None,
+def local_sweep(net: TransportNetwork, alpha: float, config: OptimizeConfig,
+                eps_improve: float, trace: list | None = None,
                 on_sweep=None) -> float:
-    """Sweep improve_vertex over the tree until a full pass stops paying.
+    """Sweep improve_vertex over the tree until a full pass stops paying,
+    at most MAX_LOCAL_SWEEPS times.
 
     Returns the final cost.  Sweeps visit vertices in breadth-first order
     from the root; vertices spliced away mid-sweep are skipped.
     """
-    if config is None:
-        config = OptimizeConfig()
-    if eps_improve is None:
-        eps_improve = cost_tolerance(net.bbox_diameter(), net.source_mass, alpha)
     cost = net.cost_m_alpha(alpha)
-    for _ in range(config.max_local_sweeps):
+    for _ in range(MAX_LOCAL_SWEEPS):
         improved = False
         for u in net.bfs_order():
             if not net.has_vertex(u):

@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 from scipy.optimize import minimize
 
-from .bifurcation import BifurcationInput, _objective_batch, objective_f, solve_two_targets
+from .bifurcation import BifurcationInput, _objective_batch, solve_two_targets
 from .errors import InputError
 from .measures import AtomicMeasure, check_source_targets
 from .network import TransportNetwork

@@ -1,18 +1,16 @@
 """Deterministic SVG rendering of transport networks.
 
 Each edge becomes one <line> whose stroke width scales with carried flow,
-    width(e) = base_width * (w(e) / source_mass) ** gamma,
-so trunks read thicker than leaf edges; gamma defaults to the cost exponent
-alpha, matching the visual weight to the cost weight.  Targets are dots, the
-source is a contrasting square.  Output bytes depend only on the network and
-style: coordinates are emitted with repr (shortest round-trip form) and edges
-in child-id order.
+    width(e) = base_width * (w(e) / source_mass) ** alpha,
+so trunks read thicker than leaf edges and the visual weight matches the
+cost weight; base_width is 2% of the larger viewBox side.  Targets are dots,
+the source is a contrasting square.  Output bytes depend only on the network
+and alpha: coordinates are emitted with repr (shortest round-trip form) and
+edges in child-id order.
 
 Networks in d > 2 are projected onto their first two coordinates.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .network import TransportNetwork
 
@@ -23,24 +21,11 @@ CANVAS_WIDTH = 800.0
 MARGIN_FRACTION = 0.05
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    base_width: float | None = None  # None: 2% of the larger viewBox side
-    gamma: float | None = None       # None: use alpha
-    edge_color: str = EDGE_COLOR
-    target_color: str = TARGET_COLOR
-    source_color: str = SOURCE_COLOR
-
-
 def _fmt(x: float) -> str:
     return repr(round(float(x), 9))
 
 
-def render_svg(net: TransportNetwork, alpha: float,
-               style: RenderStyle | None = None) -> bytes:
-    style = style or RenderStyle()
-    gamma = alpha if style.gamma is None else style.gamma
-
+def render_svg(net: TransportNetwork, alpha: float) -> bytes:
     # SVG y points down; negate so networks render in math orientation.
     xs = [float(net.point(v)[0]) for v in net.vertices()]
     ys = [-float(net.point(v)[1]) for v in net.vertices()]
@@ -51,9 +36,7 @@ def render_svg(net: TransportNetwork, alpha: float,
     vb_x, vb_y = lo_x - pad, lo_y - pad
     vb_w, vb_h = (hi_x - lo_x) + 2 * pad, (hi_y - lo_y) + 2 * pad
 
-    base = style.base_width
-    if base is None:
-        base = 0.02 * max(vb_w, vb_h)
+    base = 0.02 * max(vb_w, vb_h)
     dot = 0.45 * base
 
     def xy(v: int) -> tuple[float, float]:
@@ -65,19 +48,19 @@ def render_svg(net: TransportNetwork, alpha: float,
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_fmt(vb_x)} {_fmt(vb_y)} {_fmt(vb_w)} {_fmt(vb_h)}" '
         f'width="{_fmt(CANVAS_WIDTH)}" height="{_fmt(CANVAS_WIDTH * vb_h / vb_w)}">',
-        f'<g stroke="{style.edge_color}" stroke-linecap="round" fill="none">',
+        f'<g stroke="{EDGE_COLOR}" stroke-linecap="round" fill="none">',
     ]
     m = net.source_mass
     for parent, child, weight in net.edges():
         x1, y1 = xy(parent)
         x2, y2 = xy(child)
-        sw = base * (weight / m) ** gamma
+        sw = base * (weight / m) ** alpha
         lines.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
             f'stroke-width="{_fmt(sw)}"/>')
     lines.append("</g>")
 
-    lines.append(f'<g fill="{style.target_color}">')
+    lines.append(f'<g fill="{TARGET_COLOR}">')
     for v in net.terminals():
         cx, cy = xy(v)
         lines.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(dot)}"/>')
@@ -88,6 +71,6 @@ def render_svg(net: TransportNetwork, alpha: float,
     lines.append(
         f'<rect x="{_fmt(sx - half)}" y="{_fmt(sy - half)}" '
         f'width="{_fmt(2 * half)}" height="{_fmt(2 * half)}" '
-        f'fill="{style.source_color}"/>')
+        f'fill="{SOURCE_COLOR}"/>')
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")

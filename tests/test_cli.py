@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,40 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "alpha" in err
 
 
+def _target_point(point):
+    return {**SPOT, "targets": [{"point": point, "mass": 0.5}, SPOT["targets"][1]]}
+
+
+def _generated(seed, count):
+    return {"alpha": 0.5, "seed": seed, "source": SPOT["source"],
+            "generator": {"kind": "uniform-square", "count": count}}
+
+
+@pytest.mark.parametrize("doc", [
+    {**SPOT, "alpha": "abc"},
+    {**SPOT, "alpha": [0.5]},
+    {**SPOT, "alpha": True},
+    {**SPOT, "source": {"point": [0.0, 0.0], "mass": True}},
+    {**SPOT, "source": {"point": [False, 0.0], "mass": 1.0}},
+    {**SPOT, "targets": [{"point": [2.0, 1.0], "mass": True}]},
+    _target_point(["a", 0]),
+    _target_point({"x": 1}),
+    _target_point([True, False]),
+    _target_point([10 ** 400, 0]),
+    _generated(True, True),
+    _generated(True, 3),
+    _generated(1, True),
+    _generated(-1, 3),
+])
+def test_malformed_numbers_exit_2(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("solve", "init"):
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 2 and out == "", command
+        assert err.startswith("error:"), err
+
+
 def test_light_target_atoms_exit_2(capsys, tmp_path):
     path = tmp_path / "light.json"
     path.write_text(json.dumps(LIGHT_ATOMS))
@@ -183,8 +218,8 @@ def test_light_target_atoms_exit_2(capsys, tmp_path):
 def test_broken_final_tree_exits_3(capsys, monkeypatch, spot_file):
     real = TransportNetwork.canonicalize
 
-    def drop_a_leaf(self, collapse_passthrough=False, eps_merge=None):
-        real(self, collapse_passthrough, eps_merge)
+    def drop_a_leaf(self, collapse_passthrough=False):
+        real(self, collapse_passthrough)
         if collapse_passthrough:  # only the final call in global_optimize
             self.remove_edge(self.terminals()[-1])
 
@@ -209,8 +244,12 @@ def test_invariant_violation_exit_3_dumps_network(capsys, monkeypatch, spot_file
 
 
 def test_console_script_entry_point(tmp_path, spot_file):
+    # the child imports the same package as this process, installed or not
+    src = str(Path(branchflow.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-m", "branchflow.cli", "solve", "--input", spot_file],
-        capture_output=True, timeout=120)
+        capture_output=True, timeout=120, env=env)
     assert out.returncode == 0
     assert json.loads(out.stdout)["cost"] == pytest.approx(3.0, abs=1e-9)

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from branchflow.bifurcation import BifurcationInput, solve_two_targets
-from branchflow.construct import (
-    SubdivisionParams,
-    build_small,
-    build_star,
-    build_subdivision,
-)
+from branchflow.construct import build_small, build_star, build_subdivision
 from branchflow.errors import InputError
 from branchflow.instances import export_network
 from branchflow.measures import AtomicMeasure
@@ -88,13 +83,6 @@ def test_build_subdivision_degree_bound():
         net = build_subdivision(src, m, tg, 0.6)
         assert max(net.degree(v) for v in net.vertices()) <= cap
         assert_feasible(net, src, m, tg)
-
-
-def test_subdivision_params_defaults():
-    p2 = SubdivisionParams.for_dimension(2)
-    p3 = SubdivisionParams.for_dimension(3)
-    assert p2.lam ** 2 == p2.capacity == 9
-    assert p3.lam ** 3 == p3.capacity == 8
 
 
 def test_build_rejects_bad_inputs():

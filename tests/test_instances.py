@@ -83,7 +83,7 @@ def test_parse_json_generator_and_overrides():
     }
     inst = parse_instance(json.dumps(doc), "json", alpha=0.75)
     assert inst.alpha == 0.75
-    assert inst.seed == 3
+    assert np.array_equal(inst.targets.points, generate_points("uniform-square", 10, None, 3))
     assert inst.targets.n == 10
     assert np.allclose(inst.targets.masses, 0.2)  # equal shares of the source
     # the seed argument wins over the document seed
@@ -120,6 +120,19 @@ def test_parse_json_errors():
         parse_instance(broken(targets=[{"point": [1.0, 1.0, 1.0], "mass": 1.0}]), "json")
     with pytest.raises(InputError, match="unknown instance format"):
         parse_instance(broken(), "yaml")
+
+
+def test_parse_json_accepts_numeric_strings():
+    doc = {
+        "alpha": "0.5",
+        "source": {"point": ["0", "0.0"], "mass": "1"},
+        "targets": [{"point": ["2", 1], "mass": "0.5"}, {"point": [2, "-1e0"], "mass": 0.5}],
+    }
+    inst = parse_instance(json.dumps(doc), "json")
+    assert inst.alpha == 0.5 and inst.source_mass == 1.0
+    assert np.array_equal(inst.source_point, [0.0, 0.0])
+    assert np.array_equal(inst.targets.points, [[2.0, 1.0], [2.0, -1.0]])
+    assert np.array_equal(inst.targets.masses, [0.5, 0.5])
 
 
 def test_parse_csv_round_trip():

@@ -15,15 +15,6 @@ def test_atomic_measure_basics():
     assert atoms[1][1] == pytest.approx(0.75)
 
 
-def test_atomic_measure_from_atoms_round_trip():
-    atoms = [((0.0, 1.0), 0.5), ((2.0, 3.0), 1.5)]
-    mu = AtomicMeasure.from_atoms(atoms)
-    assert mu.n == 2
-    assert mu.total_mass() == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        AtomicMeasure.from_atoms([])
-
-
 def test_atomic_measure_arrays_are_frozen():
     mu = AtomicMeasure([[0.0, 0.0]], [1.0])
     with pytest.raises(ValueError):
@@ -71,16 +62,6 @@ def test_cube_split_partitions_points():
 def test_cube_split_3d_count():
     cube = Cube.from_bounds((0.0,) * 3, (2.0,) * 3)
     assert len(cube.split(2)) == 8
-
-
-def test_restrict_partitions_mass():
-    rng = np.random.default_rng(1)
-    pts = rng.uniform(0.0, 1.0, size=(50, 2))
-    mu = AtomicMeasure(pts, rng.uniform(0.1, 1.0, size=50))
-    cube = Cube.from_bounds((0.0, 0.0), (1.0, 1.0))
-    total = sum(mu.restrict(c).total_mass() for c in cube.split(3))
-    assert total == pytest.approx(mu.total_mass(), rel=1e-12)
-    assert mu.restrict(Cube.from_bounds((5.0, 5.0), (6.0, 6.0))).is_empty()
 
 
 def test_bounding_cube_covers_points():

@@ -107,7 +107,8 @@ def test_validate_structure_flags_problems():
 def test_copy_and_restore_round_trip():
     net, a, b, c = chain_net()
     snap = net.copy()
-    net.reparent(c, net.root, 0.5)
+    net.remove_edge(c)
+    net.add_edge(net.root, c, 0.5)
     net.set_weight(a, 0.5)
     assert net.parent(c) == net.root
     net.restore_from(snap)

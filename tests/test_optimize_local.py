@@ -133,6 +133,7 @@ def test_local_sweep_counts_sweeps():
     tg = AtomicMeasure(pts, np.full(25, 1.0 / 25))
     net = build_subdivision((0.0, 0.0), 1.0, tg, 0.75)
     seen = []
-    local_sweep(net, 0.75, OptimizeConfig(), on_sweep=lambda n: seen.append(n.cost_m_alpha(0.75)))
+    eps = cost_tolerance(net.bbox_diameter(), 1.0, 0.75)
+    local_sweep(net, 0.75, OptimizeConfig(), eps, on_sweep=lambda n: seen.append(n.cost_m_alpha(0.75)))
     assert seen, "sweep callback never fired"
     assert all(seen[i] >= seen[i + 1] - 1e-12 for i in range(len(seen) - 1))

@@ -6,7 +6,7 @@ import pytest
 
 from branchflow.construct import build_small, build_star
 from branchflow.measures import AtomicMeasure
-from branchflow.svg import RenderStyle, render_svg
+from branchflow.svg import render_svg
 
 NS = "{http://www.w3.org/2000/svg}"
 
@@ -52,24 +52,10 @@ def test_stroke_width_follows_flow():
     root = ET.fromstring(render_svg(net, 0.5))
     widths = sorted(float(l.attrib["stroke-width"]) for l in root.findall(f".//{NS}line"))
     assert widths[1] / widths[0] == pytest.approx((0.75 / 0.25) ** 0.5, rel=1e-6)
-    # gamma override changes the exponent
-    root = ET.fromstring(render_svg(net, 0.5, RenderStyle(gamma=1.0)))
+    # the exponent is alpha
+    root = ET.fromstring(render_svg(net, 1.0))
     widths = sorted(float(l.attrib["stroke-width"]) for l in root.findall(f".//{NS}line"))
     assert widths[1] / widths[0] == pytest.approx(3.0, rel=1e-6)
-
-
-def test_style_overrides_colors_and_base_width():
-    net = spot_net()
-    style = RenderStyle(base_width=0.5, edge_color="#123456",
-                        target_color="#654321", source_color="#abcdef")
-    blob = render_svg(net, 0.5, style)
-    root = ET.fromstring(blob)
-    groups = root.findall(f"{NS}g")
-    assert groups[0].attrib["stroke"] == "#123456"
-    assert groups[1].attrib["fill"] == "#654321"
-    assert root.find(f"{NS}rect").attrib["fill"] == "#abcdef"
-    trunk = max(float(l.attrib["stroke-width"]) for l in root.findall(f".//{NS}line"))
-    assert trunk == pytest.approx(0.5, rel=1e-9)
 
 
 def test_render_deterministic_bytes():
