@@ -52,13 +52,21 @@ def _pair_gain(o: np.ndarray, a: _Active, b: _Active, alpha: float):
 
 
 def _greedy_small(net: TransportNetwork, source_vid: int, source_mass: float,
-                  pool: list[_Active], alpha: float) -> None:
-    """Wire the pool under source_vid with greedily chosen bifurcations."""
+                  pool: list[_Active], alpha: float) -> list[tuple[int, int, float]]:
+    """Wire the pool under source_vid with greedily chosen bifurcations.
+
+    Returns the (parent, child, weight) edges in the order they were added."""
     o = net.point(source_vid)
+    added: list[tuple[int, int, float]] = []
+
+    def link(parent: int, child: int, weight: float) -> None:
+        net.add_edge(parent, child, weight)
+        added.append((parent, child, weight))
+
     n = len(pool)
     if n == 1:
-        net.add_edge(source_vid, pool[0].vid, pool[0].mass)
-        return
+        link(source_vid, pool[0].vid, pool[0].mass)
+        return added
 
     gains: dict[tuple[int, int], tuple[float, object]] = {}
 
@@ -85,14 +93,14 @@ def _greedy_small(net: TransportNetwork, source_vid: int, source_mass: float,
         a, b = pool[i], pool[j]
         if res.case is BranchCase.COLLAPSE_TO_P:
             hub = a
-            net.add_edge(hub.vid, b.vid, b.mass)
+            link(hub.vid, b.vid, b.mass)
         elif res.case is BranchCase.COLLAPSE_TO_Q:
             hub = b
-            net.add_edge(hub.vid, a.vid, a.mass)
+            link(hub.vid, a.vid, a.mass)
         else:  # interior branch point (a V shape has zero gain, never picked)
             vid = net.add_vertex(res.b_star)
-            net.add_edge(vid, a.vid, a.mass)
-            net.add_edge(vid, b.vid, b.mass)
+            link(vid, a.vid, a.mass)
+            link(vid, b.vid, b.mass)
             hub = _Active(vid, np.asarray(res.b_star, dtype=float), 0.0)
         merged = _Active(hub.vid, hub.point, a.mass + b.mass)
         k = len(pool)
@@ -104,7 +112,8 @@ def _greedy_small(net: TransportNetwork, source_vid: int, source_mass: float,
         alive.append(k)
 
     for i in alive:
-        net.add_edge(source_vid, pool[i].vid, pool[i].mass)
+        link(source_vid, pool[i].vid, pool[i].mass)
+    return added
 
 
 def build_small(source_point, source_mass: float, targets: AtomicMeasure,

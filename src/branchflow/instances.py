@@ -268,11 +268,12 @@ def export_network(net: TransportNetwork, alpha: float) -> bytes:
 
 
 def import_network(data: bytes | str) -> tuple[TransportNetwork, float]:
-    """Rebuild a network from export_network bytes (test plumbing).
+    """Rebuild a network from export_network bytes.
 
     The root is the unique vertex with no incoming edge and must carry id 0,
     as every export from this package does.  Childless vertices are marked
     terminal; the schema does not record flow-through target identity.
+    Anything but one tree over numeric data raises InputError.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -281,19 +282,47 @@ def import_network(data: bytes | str) -> tuple[TransportNetwork, float]:
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed network JSON: {exc}") from None
     try:
-        alpha = float(doc["alpha"])
-        vertices = {int(v["id"]): np.asarray(v["coords"], dtype=float)
-                    for v in doc["vertices"]}
-        edges = [(int(e["from"]), int(e["to"]), float(e["weight"]))
-                 for e in doc["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        alpha = _number(doc["alpha"], "alpha")
+        vertices: dict[int, np.ndarray] = {}
+        for v in doc["vertices"]:
+            vid = v["id"]
+            if not _is_int(vid):
+                raise InputError(f"vertex id must be an integer, got {vid!r}")
+            if vid in vertices:
+                raise InputError(f"duplicate vertex id {vid}")
+            vertices[vid] = _point(v["coords"], f"vertex {vid} coords")
+        edges = []
+        for e in doc["edges"]:
+            p, c = e["from"], e["to"]
+            if not (_is_int(p) and _is_int(c)):
+                raise InputError(f"edge ends must be integer ids, got {p!r} -> {c!r}")
+            edges.append((p, c, _number(e["weight"], f"weight of edge {p}->{c}")))
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed network document: {exc}") from None
 
-    has_parent = {c for _, c, _ in edges}
-    has_child = {p for p, _, _ in edges}
+    if len({pt.shape for pt in vertices.values()}) > 1:
+        raise InputError("vertex coords must share one dimension")
+    unknown = sorted({vid for p, c, _ in edges for vid in (p, c)} - vertices.keys())
+    if unknown:
+        raise InputError(f"edges name unknown vertex ids {unknown}")
+    children: dict[int, list[int]] = {}
+    has_parent: set[int] = set()
+    for p, c, _ in edges:
+        if c in has_parent:
+            raise InputError(f"vertex {c} has more than one parent edge")
+        has_parent.add(c)
+        children.setdefault(p, []).append(c)
     roots = [v for v in sorted(vertices) if v not in has_parent]
     if len(roots) != 1 or roots[0] != 0:
         raise InputError(f"network must have the single parentless root 0, found {roots}")
+    # with one parent per non-root vertex, whatever the root cannot reach
+    # sits on a cycle
+    reached = [0]
+    for v in reached:
+        reached.extend(children.get(v, ()))
+    if len(reached) != len(vertices):
+        cyclic = sorted(vertices.keys() - set(reached))
+        raise InputError(f"edges form a cycle through vertices {cyclic}")
     source_mass = sum(w for p, _, w in edges if p == 0)
     if source_mass <= 0:
         raise InputError("root has no outgoing flow")
@@ -301,7 +330,7 @@ def import_network(data: bytes | str) -> tuple[TransportNetwork, float]:
     net = TransportNetwork(vertices[0], source_mass)
     for vid in sorted(vertices):
         if vid != 0:
-            net.add_vertex(vertices[vid], terminal=vid not in has_child, vid=vid)
+            net.add_vertex(vertices[vid], terminal=vid not in children, vid=vid)
     for p, c, w in sorted(edges, key=lambda e: e[1]):
         net.add_edge(p, c, w)
     return net, alpha

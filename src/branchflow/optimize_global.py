@@ -26,7 +26,6 @@ until a round stops paying.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -38,8 +37,6 @@ from .errors import InputError, InvariantViolation
 from .measures import AtomicMeasure, diameter
 from .network import TransportNetwork
 from .optimize_local import local_sweep
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -208,8 +205,10 @@ def reparent_pass(net: TransportNetwork, alpha: float, eps_improve: float,
                   trace: list | None = None) -> bool:
     """One breadth-first pass of evaluate-and-apply over all vertices.
 
-    Every applied move is re-checked by direct cost recomputation and rolled
-    back if it does not deliver; returns whether any move stuck."""
+    Each proposal's gain S - T(v*) is the exact cost drop, so it is applied
+    by rewire with no re-check; when a trace list is given, the full cost is
+    recomputed before and after each move and recorded there.  Returns
+    whether any move was applied."""
     accepted = False
     for u in net.bfs_order():
         if not net.has_vertex(u) or u == net.root or net.parent(u) is None:
@@ -217,18 +216,10 @@ def reparent_pass(net: TransportNetwork, alpha: float, eps_improve: float,
         proposal = evaluate_reparent(net, u, alpha, eps_improve)
         if proposal is None:
             continue
-        snapshot = net.copy()
-        cost_before = net.cost_m_alpha(alpha)
+        cost_before = net.cost_m_alpha(alpha) if trace is not None else None
         rewire(net, u, proposal.new_parent)
-        cost_after = net.cost_m_alpha(alpha)
-        if cost_before - cost_after <= eps_improve:
-            logger.warning(
-                "reparent of %d under %d predicted %.3e but delivered %.3e; rolled back",
-                u, proposal.new_parent, proposal.gain, cost_before - cost_after)
-            net.restore_from(snapshot)
-            continue
         if trace is not None:
-            trace.append(("reparent", u, cost_before, cost_after))
+            trace.append(("reparent", u, cost_before, net.cost_m_alpha(alpha)))
         accepted = True
     return accepted
 

@@ -48,9 +48,11 @@ def improve_vertex(net: TransportNetwork, u: int, alpha: float,
                    eps_improve: float, trace: list | None = None) -> bool:
     """Rebuild u's star and splice the result in when strictly cheaper.
 
-    Acceptance is judged by direct recomputation of the full network cost,
-    so every accepted move lowers the true cost by more than eps_improve;
-    a candidate that fails that check is rolled back.
+    The candidate star is built on a scratch network and accepted when it
+    undercuts star_cost(net, u) by more than eps_improve; that difference is
+    the exact change of the full network cost, so the scored star is spliced
+    in as built, with no re-check.  When a trace list is given, the full cost
+    is recomputed before and after the move and recorded there.
     """
     if u == net.root or not net.children(u) or net.parent(u) is None:
         return False
@@ -65,27 +67,26 @@ def improve_vertex(net: TransportNetwork, u: int, alpha: float,
     scratch = TransportNetwork(p_point, m_u)
     scratch_pool = [_Active(scratch.add_vertex(pt, terminal=True), pt, m)
                     for _, pt, m in pool_spec]
-    _greedy_small(scratch, scratch.root, m_u, scratch_pool, alpha)
+    edges = _greedy_small(scratch, scratch.root, m_u, scratch_pool, alpha)
     if star_cost(net, u, alpha) - scratch.cost_m_alpha(alpha) <= eps_improve:
         return False
 
-    snapshot = net.copy()
-    cost_before = net.cost_m_alpha(alpha)
-
+    cost_before = net.cost_m_alpha(alpha) if trace is not None else None
     net.remove_edge(u)
     for child in list(net.children(u)):
         net.remove_edge(child)
     if not net.is_terminal(u):
         net.remove_vertex(u)
-    live_pool = [_Active(vid, pt, m) for vid, pt, m in pool_spec]
-    _greedy_small(net, parent, m_u, live_pool, alpha)
-
-    cost_after = net.cost_m_alpha(alpha)
-    if cost_before - cost_after <= eps_improve:
-        net.restore_from(snapshot)
-        return False
+    live = {scratch.root: parent}
+    live.update((entry.vid, vid) for entry, (vid, _, _) in zip(scratch_pool, pool_spec))
+    # new junctions in scratch id order, which is the order greedy made them
+    for sid in scratch.vertices():
+        if sid not in live:
+            live[sid] = net.add_vertex(scratch.point(sid))
+    for p, c, w in edges:  # cost_m_alpha sums edges in insertion order
+        net.add_edge(live[p], live[c], w)
     if trace is not None:
-        trace.append(("local", u, cost_before, cost_after))
+        trace.append(("local", u, cost_before, net.cost_m_alpha(alpha)))
     return True
 
 

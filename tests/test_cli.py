@@ -1,4 +1,5 @@
 """End-to-end tests for the command-line interface."""
+import io
 import json
 import os
 import subprocess
@@ -155,6 +156,35 @@ def test_render_subcommand(capsys, tmp_path, spot_file):
                            "--out-svg", str(svg_path))
     assert code == 0
     assert svg_path.read_bytes().count(b"<line") > 0
+
+
+def _network(edges, coords=None, alpha=0.5, ids=(0, 1, 2, 3)):
+    coords = coords or {}
+    return {"alpha": alpha, "cost": 0.0,
+            "vertices": [{"id": v, "coords": coords.get(v, [float(i), 1.0])}
+                         for i, v in enumerate(ids)],
+            "edges": [{"from": a, "to": b, "weight": w} for a, b, w in edges]}
+
+
+TREE = [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.5)]
+
+
+@pytest.mark.parametrize("doc", [
+    _network(TREE, alpha=True),
+    _network(TREE, coords={2: [True, 0]}),
+    _network([(0, 1, True), (1, 2, 0.5), (1, 3, 0.5)]),
+    _network(TREE, coords={3: [1.0, 1.0, 1.0]}),
+    _network(TREE, ids=(0, 1, 2, "3")),
+    _network(TREE + [(1, 7, 0.5)]),
+    _network(TREE, ids=(0, 1, 2, 3, 3)),
+    _network(TREE + [(2, 3, 0.5)]),
+    _network([(0, 1, 1.0), (2, 3, 0.5), (3, 2, 0.5)]),
+])
+def test_render_rejects_malformed_networks(capsys, monkeypatch, doc):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(doc).encode())))
+    code, out, err = run_cli(capsys, "render", "--input", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("error:"), err
 
 
 def test_input_errors_exit_2(capsys, tmp_path):

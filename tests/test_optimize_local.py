@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from branchflow.config import OptimizeConfig, cost_tolerance
-from branchflow.construct import build_subdivision
+from branchflow.construct import _Active, _greedy_small, build_subdivision
 from branchflow.instances import export_network
 from branchflow.measures import AtomicMeasure
 from branchflow.network import TransportNetwork
@@ -137,3 +137,60 @@ def test_local_sweep_counts_sweeps():
     local_sweep(net, 0.75, OptimizeConfig(), eps, on_sweep=lambda n: seen.append(n.cost_m_alpha(0.75)))
     assert seen, "sweep callback never fired"
     assert all(seen[i] >= seen[i + 1] - 1e-12 for i in range(len(seen) - 1))
+
+
+def _scored_delta(net, u, alpha):
+    """star_cost minus the cost of the greedy star built on a scratch network."""
+    m_u = net.edge_mass(u)
+    scratch = TransportNetwork(net.point(net.parent(u)), m_u)
+    pool = [_Active(scratch.add_vertex(pt, terminal=True), pt, m)
+            for _, pt, m in _star_pool(net, u)]
+    _greedy_small(scratch, scratch.root, m_u, pool, alpha)
+    return star_cost(net, u, alpha) - scratch.cost_m_alpha(alpha)
+
+
+def _rebuild_live(net, u, alpha):
+    """Reference move: tear out u's star and rerun the greedy on the network."""
+    pool = [_Active(vid, pt, m) for vid, pt, m in _star_pool(net, u)]
+    parent, m_u = net.parent(u), net.edge_mass(u)
+    net.remove_edge(u)
+    for child in net.children(u):
+        net.remove_edge(child)
+    if not net.is_terminal(u):
+        net.remove_vertex(u)
+    _greedy_small(net, parent, m_u, pool, alpha)
+
+
+EXPONENTS = np.linspace(0.05, 1.0, 20)
+
+
+@pytest.mark.parametrize("dim, alpha", [(2, 0.5), (2, 0.75), (3, 0.5), (3, 0.75)])
+def test_splice_equals_live_rebuild(dim, alpha):
+    rng = np.random.default_rng(20 + dim)
+    pts = rng.uniform(0.0, 1.0, size=(40, dim))
+    tg = AtomicMeasure(pts, rng.uniform(0.1, 1.0, size=40))
+    m = float(tg.masses.sum())
+    net = build_subdivision(np.full(dim, 0.5), m, tg, alpha)
+    eps = cost_tolerance(net.bbox_diameter(), m, alpha)
+    accepted = 0
+    for _ in range(3):
+        for u in net.bfs_order():
+            if not net.has_vertex(u):
+                continue
+            reference = net.copy()
+            trace = []
+            if not improve_vertex(net, u, alpha, eps, trace=trace):
+                assert export_network(net, alpha) == export_network(reference, alpha)
+                continue
+            accepted += 1
+            scored = _scored_delta(reference, u, alpha)
+            _rebuild_live(reference, u, alpha)
+            assert export_network(net, alpha) == export_network(reference, alpha)
+            # cost_m_alpha sums edges in insertion order, so only the greedy's
+            # own edge order reproduces every rounding of the reference
+            assert ([net.cost_m_alpha(a) for a in EXPONENTS]
+                    == [reference.cost_m_alpha(a) for a in EXPONENTS])
+            ((stage, vid, before, after),) = trace
+            assert (stage, vid) == ("local", u)
+            assert abs((before - after) - scored) <= 1e-12 * before
+    assert accepted > 20
