@@ -7,6 +7,7 @@ JSON for diagnosis).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -16,6 +17,16 @@ from .instances import export_network, import_network, parse_instance
 from .optimize_global import _INITIALIZERS, global_optimize
 from .oracle import enumerate_optimal
 from .svg import render_svg
+
+
+def _positive(kind):
+    """argparse type: kind(text), which must be finite and > 0."""
+    def parse(text: str):
+        val = kind(text)
+        if not (math.isfinite(val) and val > 0):
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+        return val
+    return parse
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
@@ -110,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the full optimization pipeline")
     _add_instance_flags(p)
     _add_output_flags(p)
-    p.add_argument("--max-rounds", type=int, default=50)
-    p.add_argument("--rel-tol", type=float, default=REL_TOL)
-    p.add_argument("--subdivide-factor", type=float, default=2.0)
+    p.add_argument("--max-rounds", type=_positive(int), default=50)
+    p.add_argument("--rel-tol", type=_positive(float), default=REL_TOL)
+    p.add_argument("--subdivide-factor", type=_positive(float), default=2.0)
     p.add_argument("--initializer", choices=INITIALIZERS, default="subdivision")
     p.set_defaults(func=_cmd_solve)
 

@@ -6,6 +6,7 @@ cost tolerances with diameter * mass**alpha.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 REL_TOL = 1e-9
@@ -25,8 +26,8 @@ class OptimizeConfig:
     def validate(self) -> None:
         if self.initializer not in INITIALIZERS:
             raise ValueError(f"unknown initializer {self.initializer!r}")
-        if self.rel_tol <= 0 or self.subdivide_factor <= 0:
-            raise ValueError("tolerances and factors must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.subdivide_factor < math.inf):
+            raise ValueError("tolerances and factors must be finite and positive")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
 

@@ -5,14 +5,17 @@ build_small handles a handful of targets by greedy pairing: for every pair of
 through its optimal branch point instead of two direct edges from the source,
 merges the best pair into a pseudo-target at that branch point, and repeats
 until no pair saves anything.  Whatever remains connects straight to the
-source.
+source.  The pairing (_greedy_small) works on plain points and returns a
+plan of junction points and weighted edges; _wire is the one place a plan
+becomes vertices and edges of a network, here and in the local star
+rebuilds of optimize_local.
 
 build_subdivision scales to many targets by recursive spatial subdivision:
 the bounding cube splits into lam**d equal cells (lam = 3 in the plane, 2
 otherwise), each nonempty cell is summarized by a pseudo-target at its center
-carrying the cell's mass, the source feeds the cell centers via build_small,
-and each cell recurses from its own center.  Every vertex ends up with at
-most lam**d + 1 neighbors.
+carrying the cell's mass, the source feeds the cell centers by greedy
+pairing, and each cell recurses from its own center.  Every vertex ends up
+with at most lam**d + 1 neighbors.
 
 build_star is the trivial baseline: one direct edge per target.
 """
@@ -28,50 +31,29 @@ from .network import TransportNetwork
 MAX_DEPTH = 32
 
 
-class _Active:
-    """A live entry in the greedy merge pool: a target leaf, or a junction
-    standing in for an already merged group."""
+def _greedy_small(o: np.ndarray, pool: list[tuple[np.ndarray, float]], alpha: float):
+    """Greedy bifurcation plan from source point o to the (point, mass) pool.
 
-    __slots__ = ("vid", "point", "mass")
-
-    def __init__(self, vid: int, point: np.ndarray, mass: float):
-        self.vid = vid
-        self.point = point
-        self.mass = mass
-
-
-def _pair_gain(o: np.ndarray, a: _Active, b: _Active, alpha: float):
-    """Savings and solution for merging two pool entries, scored from the
-    real source.  Coincident entries never merge."""
-    inp = BifurcationInput(o=o, p=a.point, q=b.point, m_p=a.mass, m_q=b.mass, alpha=alpha)
-    try:
-        res = solve_two_targets(inp)
-    except DegenerateInputError:
-        return -np.inf, None
-    return objective_f(o, inp) - res.cost, res
-
-
-def _greedy_small(net: TransportNetwork, source_vid: int, source_mass: float,
-                  pool: list[_Active], alpha: float) -> list[tuple[int, int, float]]:
-    """Wire the pool under source_vid with greedily chosen bifurcations.
-
-    Returns the (parent, child, weight) edges in the order they were added."""
-    o = net.point(source_vid)
-    added: list[tuple[int, int, float]] = []
-
-    def link(parent: int, child: int, weight: float) -> None:
-        net.add_edge(parent, child, weight)
-        added.append((parent, child, weight))
-
+    Returns (junctions, edges).  Node 0 is o, nodes 1..len(pool) are the pool
+    entries in order, and the junction points follow in creation order;
+    edges are (parent, child, weight) node triples in the order the greedy
+    adds them.  _wire puts a plan into a network."""
     n = len(pool)
-    if n == 1:
-        link(source_vid, pool[0].vid, pool[0].mass)
-        return added
-
+    entries = [(i + 1, pt, m) for i, (pt, m) in enumerate(pool)]
+    junctions: list[np.ndarray] = []
+    edges: list[tuple[int, int, float]] = []
     gains: dict[tuple[int, int], tuple[float, object]] = {}
 
     def score(i: int, j: int) -> None:
-        gains[(i, j)] = _pair_gain(o, pool[i], pool[j], alpha)
+        """Savings of serving entries i and j through their optimal branch
+        point instead of two direct edges; coincident entries never merge."""
+        (_, p, m_p), (_, q, m_q) = entries[i], entries[j]
+        inp = BifurcationInput(o=o, p=p, q=q, m_p=m_p, m_q=m_q, alpha=alpha)
+        try:
+            res = solve_two_targets(inp)
+        except DegenerateInputError:
+            return
+        gains[(i, j)] = (objective_f(o, inp) - res.cost, res)
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -82,38 +64,42 @@ def _greedy_small(net: TransportNetwork, source_vid: int, source_mass: float,
         best = None
         for ii, i in enumerate(alive):
             for j in alive[ii + 1:]:
-                g, res = gains[(i, j)]
-                if res is None:
-                    continue
-                if best is None or g > best[0]:
-                    best = (g, i, j, res)
+                gain = gains.get((i, j))
+                if gain is not None and (best is None or gain[0] > best[0]):
+                    best = (*gain, i, j)
         if best is None or best[0] <= 0.0:
             break  # no pair saves anything: star out the rest
-        _, i, j, res = best
-        a, b = pool[i], pool[j]
+        _, res, i, j = best
+        (na, pa, ma), (nb, pb, mb) = entries[i], entries[j]
         if res.case is BranchCase.COLLAPSE_TO_P:
-            hub = a
-            link(hub.vid, b.vid, b.mass)
+            hub, hub_point = na, pa
+            edges.append((na, nb, mb))
         elif res.case is BranchCase.COLLAPSE_TO_Q:
-            hub = b
-            link(hub.vid, a.vid, a.mass)
+            hub, hub_point = nb, pb
+            edges.append((nb, na, ma))
         else:  # interior branch point (a V shape has zero gain, never picked)
-            vid = net.add_vertex(res.b_star)
-            link(vid, a.vid, a.mass)
-            link(vid, b.vid, b.mass)
-            hub = _Active(vid, np.asarray(res.b_star, dtype=float), 0.0)
-        merged = _Active(hub.vid, hub.point, a.mass + b.mass)
-        k = len(pool)
-        pool.append(merged)
+            hub, hub_point = n + 1 + len(junctions), np.asarray(res.b_star, dtype=float)
+            junctions.append(hub_point)
+            edges += [(hub, na, ma), (hub, nb, mb)]
+        k = len(entries)
+        entries.append((hub, hub_point, ma + mb))
         alive.remove(i)
         alive.remove(j)
         for other in alive:
-            score(other, k)  # pool indices only grow, so other < k
+            score(other, k)  # entry indices only grow, so other < k
         alive.append(k)
 
-    for i in alive:
-        link(source_vid, pool[i].vid, pool[i].mass)
-    return added
+    edges.extend((0, entries[i][0], entries[i][2]) for i in alive)
+    return junctions, edges
+
+
+def _wire(net: TransportNetwork, ids: list[int], junctions, edges) -> None:
+    """Put a _greedy_small plan into net: ids maps nodes 0..len(pool) to
+    vertex ids; junction vertices are created in plan order, then the edges
+    are added in plan order."""
+    ids = ids + [net.add_vertex(pt) for pt in junctions]
+    for p, c, w in edges:
+        net.add_edge(ids[p], ids[c], w)
 
 
 def build_small(source_point, source_mass: float, targets: AtomicMeasure,
@@ -121,12 +107,8 @@ def build_small(source_point, source_mass: float, targets: AtomicMeasure,
     """Greedy bifurcation network from one source to a small target set."""
     check_source_targets(source_point, source_mass, targets)
     net = TransportNetwork(source_point, source_mass)
-    pool = [
-        _Active(net.add_vertex(targets.points[i], terminal=True),
-                targets.points[i], float(targets.masses[i]))
-        for i in range(targets.n)
-    ]
-    _greedy_small(net, net.root, source_mass, pool, alpha)
+    ids = [net.root] + [net.add_vertex(pt, terminal=True) for pt in targets.points]
+    _wire(net, ids, *_greedy_small(net.point(net.root), list(targets.atoms()), alpha))
     net.canonicalize()
     return net
 
@@ -160,33 +142,31 @@ def build_subdivision(source_point, source_mass: float, targets: AtomicMeasure,
     all_points = np.vstack([source_point.reshape(1, -1), targets.points])
     cube = bounding_cube(all_points)
 
-    def recurse(src_vid: int, src_mass: float, atom_idx: list[int], cell: Cube, depth: int) -> None:
-        n = len(atom_idx)
-        if n == 0:
+    def recurse(src_vid: int, atom_idx: list[int], cell: Cube, depth: int) -> None:
+        if not atom_idx:
             return
-        if n <= capacity or depth >= MAX_DEPTH:
-            pool = [_Active(leaf_ids[i], targets.points[i], float(targets.masses[i]))
-                    for i in atom_idx]
-            if n <= capacity:
-                _greedy_small(net, src_vid, src_mass, pool, alpha)
-            else:  # depth cap: refuse to recurse further, star the cell out
-                for entry in pool:
-                    net.add_edge(src_vid, entry.vid, entry.mass)
+        o = net.point(src_vid)
+        if len(atom_idx) <= capacity:
+            pool = [(targets.points[i], float(targets.masses[i])) for i in atom_idx]
+            _wire(net, [src_vid] + [leaf_ids[i] for i in atom_idx],
+                  *_greedy_small(o, pool, alpha))
+            return
+        if depth >= MAX_DEPTH:  # refuse to recurse further, star the cell out
+            for i in atom_idx:
+                net.add_edge(src_vid, leaf_ids[i], float(targets.masses[i]))
             return
         groups: list[tuple[Cube, list[int]]] = []
         for sub in cell.split(lam):
             members = [i for i in atom_idx if sub.contains(targets.points[i])]
             if members:
                 groups.append((sub, members))
-        centers = []
-        for sub, members in groups:
-            mass = float(sum(targets.masses[i] for i in members))
-            cvid = net.add_vertex(sub.center)
-            centers.append(_Active(cvid, sub.center, mass))
-        _greedy_small(net, src_vid, src_mass, centers, alpha)
-        for (sub, members), entry in zip(groups, centers):
-            recurse(entry.vid, entry.mass, members, sub, depth + 1)
+        centers = [net.add_vertex(sub.center) for sub, _ in groups]
+        pool = [(sub.center, float(sum(targets.masses[i] for i in members)))
+                for sub, members in groups]
+        _wire(net, [src_vid] + centers, *_greedy_small(o, pool, alpha))
+        for (sub, members), cvid in zip(groups, centers):
+            recurse(cvid, members, sub, depth + 1)
 
-    recurse(net.root, source_mass, list(range(targets.n)), cube, 0)
+    recurse(net.root, list(range(targets.n)), cube, 0)
     net.canonicalize()
     return net

@@ -273,7 +273,8 @@ def import_network(data: bytes | str) -> tuple[TransportNetwork, float]:
     The root is the unique vertex with no incoming edge and must carry id 0,
     as every export from this package does.  Childless vertices are marked
     terminal; the schema does not record flow-through target identity.
-    Anything but one tree over numeric data raises InputError.
+    Anything but one tree over finite coordinates, with weights > 0 and
+    alpha in (0, 1], raises InputError.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -283,6 +284,8 @@ def import_network(data: bytes | str) -> tuple[TransportNetwork, float]:
         raise InputError(f"malformed network JSON: {exc}") from None
     try:
         alpha = _number(doc["alpha"], "alpha")
+        if not 0.0 < alpha <= 1.0:
+            raise InputError(f"alpha must lie in (0, 1], got {alpha}")
         vertices: dict[int, np.ndarray] = {}
         for v in doc["vertices"]:
             vid = v["id"]
@@ -291,12 +294,14 @@ def import_network(data: bytes | str) -> tuple[TransportNetwork, float]:
             if vid in vertices:
                 raise InputError(f"duplicate vertex id {vid}")
             vertices[vid] = _point(v["coords"], f"vertex {vid} coords")
+            if not np.all(np.isfinite(vertices[vid])):
+                raise InputError(f"vertex {vid} coords must be finite")
         edges = []
         for e in doc["edges"]:
             p, c = e["from"], e["to"]
             if not (_is_int(p) and _is_int(c)):
                 raise InputError(f"edge ends must be integer ids, got {p!r} -> {c!r}")
-            edges.append((p, c, _number(e["weight"], f"weight of edge {p}->{c}")))
+            edges.append((p, c, _mass(e["weight"], f"weight of edge {p}->{c}")))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed network document: {exc}") from None
 

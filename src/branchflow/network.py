@@ -250,9 +250,10 @@ class TransportNetwork:
         return total
 
     def check_balance(self, source: AtomicMeasure, targets: AtomicMeasure) -> BalanceReport:
-        """Flow residual at every vertex, matching atoms to vertices by
-        exact position.  The source must sit at the root."""
-        supply: dict[int, float] = {}
+        """Flow residual at every vertex, matching target atoms to vertices
+        by exact position.  The source must sit at the root: a source atom
+        anywhere else is reported missing."""
+        supply = 0.0  # at the root
         demand: dict[int, float] = {}
         pos_index: dict[tuple, int] = {}
         for vid in self.vertices():
@@ -263,13 +264,13 @@ class TransportNetwork:
                 pos_index[key] = vid
 
         report = BalanceReport()
+        root_key = tuple(self._points[self.root].tolist())
         for pt, mass in source.atoms():
             key = tuple(np.asarray(pt, dtype=float).tolist())
-            vid = pos_index.get(key)
-            if vid is None:
-                report.missing.append((key, mass))
+            if key == root_key:
+                supply += mass
             else:
-                supply[vid] = supply.get(vid, 0.0) + mass
+                report.missing.append((key, mass))
         for pt, mass in targets.atoms():
             key = tuple(np.asarray(pt, dtype=float).tolist())
             vid = pos_index.get(key)
@@ -281,7 +282,7 @@ class TransportNetwork:
         for vid in self.vertices():
             inflow = self._weight.get(vid, 0.0) if vid != self.root else 0.0
             outflow = sum(self._weight[c] for c in self._children[vid])
-            res = inflow - outflow + supply.get(vid, 0.0) - demand.get(vid, 0.0)
+            res = inflow - outflow + (supply if vid == self.root else 0.0) - demand.get(vid, 0.0)
             report.residuals[vid] = res
         return report
 

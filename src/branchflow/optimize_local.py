@@ -3,9 +3,9 @@
 For a non-root vertex u with children, the edges touching u form a small
 transport problem of their own: mass edge_mass(u) enters from parent(u) and
 must reach the children (plus whatever u itself consumes, when u is a
-target that passes flow onward).  Rebuilding that sub-problem from scratch
-with the greedy small-case constructor and splicing the result back in when
-it is strictly cheaper relocates junctions and dissolves useless ones.
+target that passes flow onward).  Re-solving that sub-problem with the
+greedy pairing of the small-case constructor and wiring the plan in when it
+is strictly cheaper relocates junctions and dissolves useless ones.
 Sweeping all vertices until a full sweep stops paying drives the network to
 a local minimum.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import OptimizeConfig, mass_tolerance
-from .construct import _Active, _greedy_small
+from .construct import _greedy_small, _wire
 from .network import TransportNetwork
 
 MAX_LOCAL_SWEEPS = 200
@@ -32,13 +32,13 @@ def _star_pool(net: TransportNetwork, u: int) -> list[tuple[int, np.ndarray, flo
     """Vertices the rebuilt star must reach: children, plus u itself when it
     consumes mass as a target.  None when u's star should not be touched."""
     m_u = net.edge_mass(u)
-    pool = [(child, net.point(child).copy(), net.edge_mass(child))
+    pool = [(child, net.point(child), net.edge_mass(child))
             for child in net.children(u)]
     consumed = m_u - sum(m for _, _, m in pool)
     if net.is_terminal(u):
         if consumed <= 0.0:
             return None  # corrupt flow-through target; leave it alone
-        pool.append((u, net.point(u).copy(), consumed))
+        pool.append((u, net.point(u), consumed))
     elif abs(consumed) > mass_tolerance(net.source_mass):
         return None  # helper vertex leaking flow: refuse to touch it
     return pool
@@ -48,27 +48,28 @@ def improve_vertex(net: TransportNetwork, u: int, alpha: float,
                    eps_improve: float, trace: list | None = None) -> bool:
     """Rebuild u's star and splice the result in when strictly cheaper.
 
-    The candidate star is built on a scratch network and accepted when it
-    undercuts star_cost(net, u) by more than eps_improve; that difference is
-    the exact change of the full network cost, so the scored star is spliced
-    in as built, with no re-check.  When a trace list is given, the full cost
-    is recomputed before and after the move and recorded there.
+    The greedy plan from parent(u) to the star pool is scored on plain
+    points, summing w**alpha * length over its edges in plan order as
+    cost_m_alpha would, and accepted when it undercuts star_cost(net, u) by
+    more than eps_improve.  That difference is the exact change of the full
+    network cost, so the old star is torn out and the plan wired in as
+    scored, with no re-check.  When a trace list is given, the full cost is
+    recomputed before and after the move and recorded there.
     """
     if u == net.root or not net.children(u) or net.parent(u) is None:
         return False
-    pool_spec = _star_pool(net, u)
-    if pool_spec is None:
+    pool = _star_pool(net, u)
+    if pool is None:
         return False
     parent = net.parent(u)
-    m_u = net.edge_mass(u)
-    p_point = net.point(parent)
-
-    # score the candidate star on a scratch network first
-    scratch = TransportNetwork(p_point, m_u)
-    scratch_pool = [_Active(scratch.add_vertex(pt, terminal=True), pt, m)
-                    for _, pt, m in pool_spec]
-    edges = _greedy_small(scratch, scratch.root, m_u, scratch_pool, alpha)
-    if star_cost(net, u, alpha) - scratch.cost_m_alpha(alpha) <= eps_improve:
+    o = net.point(parent)
+    junctions, edges = _greedy_small(o, [(pt, m) for _, pt, m in pool], alpha)
+    points = [o] + [pt for _, pt, _ in pool] + junctions
+    plan_cost = 0.0
+    for p, c, w in edges:
+        d = points[c] - points[p]
+        plan_cost += w ** alpha * float(np.sqrt(np.dot(d, d)))
+    if star_cost(net, u, alpha) - plan_cost <= eps_improve:
         return False
 
     cost_before = net.cost_m_alpha(alpha) if trace is not None else None
@@ -77,14 +78,7 @@ def improve_vertex(net: TransportNetwork, u: int, alpha: float,
         net.remove_edge(child)
     if not net.is_terminal(u):
         net.remove_vertex(u)
-    live = {scratch.root: parent}
-    live.update((entry.vid, vid) for entry, (vid, _, _) in zip(scratch_pool, pool_spec))
-    # new junctions in scratch id order, which is the order greedy made them
-    for sid in scratch.vertices():
-        if sid not in live:
-            live[sid] = net.add_vertex(scratch.point(sid))
-    for p, c, w in edges:  # cost_m_alpha sums edges in insertion order
-        net.add_edge(live[p], live[c], w)
+    _wire(net, [parent] + [vid for vid, _, _ in pool], junctions, edges)
     if trace is not None:
         trace.append(("local", u, cost_before, net.cost_m_alpha(alpha)))
     return True

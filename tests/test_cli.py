@@ -92,16 +92,21 @@ def test_solve_deterministic_bytes(capsys, tmp_path):
     assert outs[0] == outs[1]
 
 
+# a single target at the source point: the supply belongs to the root, not
+# to the terminal vertex that shares its position
+AT_SOURCE = {**SPOT, "targets": [{"point": [0.0, 0.0], "mass": 1.0}]}
+
+
 def test_solve_reads_stdin(capsys, monkeypatch):
     class FakeStdin:
         buffer = None
-    import io
-    fake = FakeStdin()
-    fake.buffer = io.BytesIO(json.dumps(SPOT).encode())
-    monkeypatch.setattr(sys, "stdin", fake)
-    code, out, _ = run_cli(capsys, "solve", "--input", "-")
-    assert code == 0
-    assert json.loads(out)["cost"] == pytest.approx(3.0, abs=1e-9)
+    for doc, cost in ((SPOT, 3.0), (AT_SOURCE, 0.0)):
+        fake = FakeStdin()
+        fake.buffer = io.BytesIO(json.dumps(doc).encode())
+        monkeypatch.setattr(sys, "stdin", fake)
+        code, out, _ = run_cli(capsys, "solve", "--input", "-")
+        assert code == 0
+        assert json.loads(out)["cost"] == pytest.approx(cost, abs=1e-9)
 
 
 def test_solve_csv_requires_alpha(capsys, tmp_path):
@@ -179,12 +184,29 @@ TREE = [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.5)]
     _network(TREE, ids=(0, 1, 2, 3, 3)),
     _network(TREE + [(2, 3, 0.5)]),
     _network([(0, 1, 1.0), (2, 3, 0.5), (3, 2, 0.5)]),
+    _network([(0, 1, 1.0), (1, 2, -1.0), (1, 3, 0.5)]),
+    _network(TREE, coords={2: [float("nan"), 0.0]}),
+    _network(TREE, coords={2: [float("inf"), 0.0]}),
+    _network([(0, 1, 1.0), (1, 2, float("nan")), (1, 3, 0.5)]),
+    _network(TREE, alpha=7),
+    _network(TREE, alpha=float("nan")),
 ])
 def test_render_rejects_malformed_networks(capsys, monkeypatch, doc):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(doc).encode())))
     code, out, err = run_cli(capsys, "render", "--input", "-")
     assert code == 2 and out == ""
     assert err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-rounds", "0"), ("--rel-tol", "-1"), ("--subdivide-factor", "0"),
+    ("--rel-tol", "nan"), ("--rel-tol", "inf"), ("--subdivide-factor", "nan"),
+])
+def test_invalid_solver_flags_exit_2(capsys, spot_file, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--input", spot_file, flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_input_errors_exit_2(capsys, tmp_path):

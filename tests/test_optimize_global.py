@@ -301,3 +301,10 @@ def test_global_optimize_input_errors():
         global_optimize(SPOT_SRC, SPOT_TG, 1.5)
     with pytest.raises(ValueError):
         global_optimize(SPOT_SRC, SPOT_TG, 0.5, OptimizeConfig(initializer="nope"))
+
+
+@pytest.mark.parametrize("field", ["rel_tol", "subdivide_factor"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError):
+        OptimizeConfig(**{field: value}).validate()
