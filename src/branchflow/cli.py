@@ -56,6 +56,13 @@ def _read_input(path: str) -> bytes:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _write_output(path: str, blob: bytes) -> None:
+    try:
+        Path(path).write_bytes(blob)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _load_instance(args: argparse.Namespace):
     inst = parse_instance(_read_input(args.input), args.format,
                           alpha=args.alpha, seed=args.seed)
@@ -66,9 +73,9 @@ def _load_instance(args: argparse.Namespace):
 def _emit(net, alpha: float, args: argparse.Namespace) -> None:
     blob = export_network(net, alpha)
     if args.out_json:
-        Path(args.out_json).write_bytes(blob)
+        _write_output(args.out_json, blob)
     if args.out_svg:
-        Path(args.out_svg).write_bytes(render_svg(net, alpha))
+        _write_output(args.out_svg, render_svg(net, alpha))
     if args.out_json or args.out_svg:
         print(f"cost={net.cost_m_alpha(alpha)!r} vertices={net.n_vertices()} "
               f"edges={net.n_edges()}")
@@ -106,7 +113,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     args.alpha = alpha
     svg = render_svg(net, alpha)
     if args.out_svg:
-        Path(args.out_svg).write_bytes(svg)
+        _write_output(args.out_svg, svg)
     else:
         sys.stdout.buffer.write(svg)
     return 0

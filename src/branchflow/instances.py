@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import mass_tolerance
 from .errors import InputError
 from .measures import AtomicMeasure, check_source_targets
 from .network import TransportNetwork
@@ -125,8 +126,7 @@ def parse_instance(data: bytes | str, fmt: str, alpha: float | None = None,
     CSV schema: header x,y[,z...],mass; the first data row is the source;
     alpha must be supplied by the caller.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = _text(data)
     if fmt == "json":
         inst = _parse_json(data, alpha, seed)
     elif fmt == "csv":
@@ -222,6 +222,15 @@ def _parse_csv(text: str, alpha: float | None) -> Instance:
     return Instance(float(alpha), source_point, source_mass, targets)
 
 
+def _text(data: bytes | str) -> str:
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not UTF-8 text: {exc}") from None
+
+
 def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
@@ -273,11 +282,12 @@ def import_network(data: bytes | str) -> tuple[TransportNetwork, float]:
     The root is the unique vertex with no incoming edge and must carry id 0,
     as every export from this package does.  Childless vertices are marked
     terminal; the schema does not record flow-through target identity.
-    Anything but one tree over finite coordinates, with weights > 0 and
-    alpha in (0, 1], raises InputError.
+    Anything but one tree over finite coordinates, with weights > 0, no
+    vertex sending out more than it receives (beyond the mass tolerance of
+    the root's outflow) and alpha in (0, 1], raises InputError, and so do
+    bytes that are not UTF-8.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = _text(data)
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -331,6 +341,14 @@ def import_network(data: bytes | str) -> tuple[TransportNetwork, float]:
     source_mass = sum(w for p, _, w in edges if p == 0)
     if source_mass <= 0:
         raise InputError("root has no outgoing flow")
+    outflow: dict[int, float] = {}
+    for p, _, w in edges:
+        outflow[p] = outflow.get(p, 0.0) + w
+    inflow = {c: w for _, c, w in edges}
+    tol = mass_tolerance(source_mass)
+    leaky = sorted(v for v, out in outflow.items() if v != 0 and out - inflow[v] > tol)
+    if leaky:
+        raise InputError(f"vertices {leaky} send out more flow than they receive")
 
     net = TransportNetwork(vertices[0], source_mass)
     for vid in sorted(vertices):

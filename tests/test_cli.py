@@ -172,6 +172,7 @@ def _network(edges, coords=None, alpha=0.5, ids=(0, 1, 2, 3)):
 
 
 TREE = [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.5)]
+NOT_UTF8 = b"\xff\xfe"
 
 
 @pytest.mark.parametrize("doc", [
@@ -190,9 +191,12 @@ TREE = [(0, 1, 1.0), (1, 2, 0.5), (1, 3, 0.5)]
     _network([(0, 1, 1.0), (1, 2, float("nan")), (1, 3, 0.5)]),
     _network(TREE, alpha=7),
     _network(TREE, alpha=float("nan")),
+    _network([(0, 1, 1.0), (1, 2, 5.0)], ids=(0, 1, 2)),
+    pytest.param(NOT_UTF8, id="not-utf8"),
 ])
 def test_render_rejects_malformed_networks(capsys, monkeypatch, doc):
-    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(doc).encode())))
+    data = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
     code, out, err = run_cli(capsys, "render", "--input", "-")
     assert code == 2 and out == ""
     assert err.startswith("error:"), err
@@ -222,6 +226,24 @@ def test_input_errors_exit_2(capsys, tmp_path):
     wrong_alpha.write_text(json.dumps({**SPOT, "alpha": 2.0}))
     code, _, err = run_cli(capsys, "solve", "--input", str(wrong_alpha))
     assert code == 2 and "alpha" in err
+
+    not_utf8 = tmp_path / "latin.json"
+    not_utf8.write_bytes(NOT_UTF8)
+    code, _, err = run_cli(capsys, "solve", "--input", str(not_utf8))
+    assert code == 2 and "UTF-8" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("solve", "--out-json"), ("solve", "--out-svg"), ("render", "--out-svg"),
+])
+def test_unwritable_output_exits_2(capsys, tmp_path, spot_file, command, flag):
+    net_path = tmp_path / "net.json"
+    assert run_cli(capsys, "solve", "--input", spot_file, "--out-json", str(net_path))[0] == 0
+    source = spot_file if command == "solve" else str(net_path)
+    target = tmp_path / "no" / "such" / "dir" / "x"
+    code, out, err = run_cli(capsys, command, "--input", source, flag, str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write"), err
 
 
 def _target_point(point):

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from branchflow import optimize_local
 from branchflow.config import OptimizeConfig, cost_tolerance
 from branchflow.construct import _greedy_small, _wire, build_subdivision
 from branchflow.instances import export_network
 from branchflow.measures import AtomicMeasure
 from branchflow.network import TransportNetwork
+from branchflow.optimize_global import rewire
 from branchflow.optimize_local import _star_pool, improve_vertex, local_sweep, star_cost
 
 
@@ -204,3 +206,127 @@ def test_plan_score_equals_wired_cost_bitwise(dim):
         threshold = star_cost(net, u, alpha) - _plan_network(net, u, alpha).cost_m_alpha(alpha)
         assert not improve_vertex(net.copy(), u, alpha, threshold)
         assert improve_vertex(net.copy(), u, alpha, float(np.nextafter(threshold, -np.inf)))
+
+
+def _random_subdivision(dim, alpha, seed, n=25):
+    rng = np.random.default_rng(seed)
+    tg = AtomicMeasure(rng.uniform(0.0, 1.0, size=(n, dim)), rng.uniform(0.1, 1.0, size=n))
+    m = float(tg.masses.sum())
+    net = build_subdivision(np.full(dim, 0.5), m, tg, alpha)
+    return net, cost_tolerance(net.bbox_diameter(), m, alpha)
+
+
+def _star_key(net, u):
+    return (net.parent(u), net.edge_mass(u),
+            tuple((c, net.edge_mass(c)) for c in net.children(u)))
+
+
+def _sweep_every_vertex(net, alpha, eps, config):
+    """local_sweep without the skip: improve_vertex on every vertex of every
+    sweep, the reference the skipping sweep must reproduce."""
+    cost = net.cost_m_alpha(alpha)
+    for _ in range(optimize_local.MAX_LOCAL_SWEEPS):
+        improved = False
+        for u in net.bfs_order():
+            if net.has_vertex(u) and improve_vertex(net, u, alpha, eps):
+                improved = True
+        new_cost = net.cost_m_alpha(alpha)
+        stalled = cost - new_cost <= config.rel_tol * max(abs(cost), 1e-300)
+        cost = new_cost
+        if not improved or stalled:
+            break
+    return cost
+
+
+@pytest.mark.parametrize("dim, alpha", [(2, 0.5), (2, 0.75), (3, 0.5), (3, 0.75)])
+def test_sweep_skips_only_repeated_rejections(monkeypatch, dim, alpha):
+    net, eps = _random_subdivision(dim, alpha, 30 + dim)
+    reference = net.copy()
+    want_cost = _sweep_every_vertex(reference, alpha, eps, OptimizeConfig())
+
+    calls = []
+    last = {}  # vertex -> (star key, result) of the latest call on it
+
+    def spy(net_, u, alpha_, eps_, trace=None):
+        key = _star_key(net_, u)
+        assert last.get(u) != (key, False), f"rejected star of {u} scored again"
+        ok = improve_vertex(net_, u, alpha_, eps_, trace=trace)
+        last[u] = (key, ok)
+        calls.append(u)
+        return ok
+
+    skipped = []
+    real_bfs = net.bfs_order
+
+    def bfs_order():
+        # the sweep asks for the next vertex only once it is done with u
+        for u in real_bfs():
+            visited, n_calls = net.has_vertex(u), len(calls)
+            yield u
+            if visited and len(calls) == n_calls:
+                skipped.append(u)
+                probe = net.copy()
+                before = export_network(probe, alpha)
+                assert not improve_vertex(probe, u, alpha, eps)
+                assert export_network(probe, alpha) == before
+
+    monkeypatch.setattr(optimize_local, "improve_vertex", spy)
+    net.bfs_order = bfs_order
+    cost = local_sweep(net, alpha, OptimizeConfig(), eps)
+    assert len(skipped) > len(calls) / 2
+    assert cost == want_cost
+    assert export_network(net, alpha) == export_network(reference, alpha)
+
+
+def _two_sweeps(monkeypatch, net, alpha, eps, edit=None):
+    """Run local_sweep for two sweeps, calling edit(net) between them;
+    returns the (vertex, accepted) calls of each sweep and the network as
+    the first sweep left it."""
+    monkeypatch.setattr(optimize_local, "MAX_LOCAL_SWEEPS", 2)
+    sweeps = [[]]
+
+    def spy(net_, u, *args, **kwargs):
+        ok = improve_vertex(net_, u, *args, **kwargs)
+        sweeps[-1].append((u, ok))
+        return ok
+
+    after_first = []
+
+    def on_sweep(net_):
+        if len(sweeps) == 1:
+            after_first.append(net_.copy())
+            if edit is not None:
+                edit(net_)
+        sweeps.append([])
+
+    monkeypatch.setattr(optimize_local, "improve_vertex", spy)
+    local_sweep(net, alpha, OptimizeConfig(), eps, on_sweep=on_sweep)
+    assert len(sweeps) == 3, "the first sweep stalled"
+    return sweeps[0], sweeps[1], after_first[0]
+
+
+@pytest.mark.parametrize("edit", ["set_weight", "add_child", "rewire"])
+def test_edited_rejected_star_is_scored_again(monkeypatch, edit):
+    alpha = 0.5
+    start, eps = _random_subdivision(2, alpha, 33, n=40)
+    first, second, mid = _two_sweeps(monkeypatch, start.copy(), alpha, eps)
+    scored_again = {u for u, _ in second}
+    u = next(u for u, ok in first
+             if not ok and u not in scored_again and u != mid.root
+             and mid.has_vertex(u) and mid.children(u))
+    child = mid.children(u)[0]
+    leaf = next(v for v in mid.terminals()
+                if not mid.children(v) and not mid.is_descendant(v, u))
+
+    def change(net):
+        if edit == "set_weight":
+            net.set_weight(child, net.edge_mass(child) / 2)
+        elif edit == "add_child":
+            net.add_edge(u, net.add_vertex(net.point(u) + 0.01, terminal=True), 1e-3)
+        else:
+            inflow = net.edge_mass(u)
+            rewire(net, leaf, child)
+            assert net.edge_mass(u) > inflow
+
+    _, second, _ = _two_sweeps(monkeypatch, start.copy(), alpha, eps, edit=change)
+    assert u in {v for v, _ in second}
