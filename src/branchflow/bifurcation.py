@@ -26,12 +26,18 @@ perpendicular through the foot M of the altitude from Q.  Likewise S for the
 chord OQ.  B* is then the reflection of O across the line RS (both circles
 pass through O and B*).  All vectors live in the affine hull of O, P, Q, so
 the same arithmetic covers any ambient dimension.
+
+The solver runs on plain Python floats: points are tuples, and the three
+side lengths (math.dist) and the three pairwise dot products of the
+triangle are computed once, then shared by the angle tests, the corner
+costs and the inside-the-triangle guard.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter, mul, sub
 
 import numpy as np
 
@@ -49,17 +55,18 @@ class BranchCase(Enum):
 
 @dataclass(frozen=True)
 class BifurcationInput:
-    o: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
+    """One bifurcation.  The points are kept as given: the solver passes
+    tuples of floats, and numpy arrays or lists work as well."""
+
+    o: tuple
+    p: tuple
+    q: tuple
     m_p: float
     m_q: float
     alpha: float
 
     def __post_init__(self):
-        for name in ("o", "p", "q"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.p.shape != self.o.shape or self.q.shape != self.o.shape:
+        if not len(self.o) == len(self.p) == len(self.q):
             raise ValueError("O, P, Q must share one dimension")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
@@ -73,24 +80,29 @@ class BifurcationInput:
 
 @dataclass(frozen=True)
 class BifurcationResult:
+    """The optimal branch point B*, its cost f(B*), the optimal angles, and
+    v_cost = f(O), the cost of the plain V shape."""
+
     case: BranchCase
-    b_star: np.ndarray
+    b_star: tuple
     cost: float
     angles: tuple[float, float, float]
+    v_cost: float
 
 
-def _norm(v: np.ndarray) -> float:
-    return float(math.sqrt(float(np.dot(v, v))))
+def _floats(v) -> tuple:
+    """v as a tuple of floats; a tuple passes through as it is."""
+    return v if type(v) is tuple else tuple(map(float, v))
 
 
-def _angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between two vectors, stable near 0 and pi."""
-    nu, nv = _norm(u), _norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    dot = float(np.dot(u, v))
-    cross_sq = max(nu * nu * nv * nv - dot * dot, 0.0)
-    return math.atan2(math.sqrt(cross_sq), dot)
+def _dot(u, v) -> float:
+    return sum(map(mul, u, v))
+
+
+def _angle(nu: float, nv: float, dot: float) -> float:
+    """Angle between two nonzero vectors given their lengths and dot
+    product, stable near 0 and pi."""
+    return math.atan2(math.sqrt(max(nu * nu * nv * nv - dot * dot, 0.0)), dot)
 
 
 def _clamped_acos(x: float) -> float:
@@ -115,11 +127,11 @@ def branch_angles(m_p: float, m_q: float, m_o: float, alpha: float) -> tuple[flo
 
 def objective_f(b, inp: BifurcationInput) -> float:
     """Branching cost f(B) for an arbitrary branch point B."""
-    b = np.asarray(b, dtype=float)
+    a = inp.alpha
     return (
-        inp.m_o ** inp.alpha * _norm(b - inp.o)
-        + inp.m_p ** inp.alpha * _norm(inp.p - b)
-        + inp.m_q ** inp.alpha * _norm(inp.q - b)
+        inp.m_o ** a * math.dist(b, inp.o)
+        + inp.m_p ** a * math.dist(inp.p, b)
+        + inp.m_q ** a * math.dist(inp.q, b)
     )
 
 
@@ -138,52 +150,53 @@ def balance_residual(b, inp: BifurcationInput) -> float:
     At an interior optimum the three pulls cancel:
     m_o**a * u(B->O) + m_p**a * u(B->P) + m_q**a * u(B->Q) = 0.
     """
-    b = np.asarray(b, dtype=float)
-    total = np.zeros_like(b)
+    b = _floats(b)
+    total = [0.0] * len(b)
     for point, mass in ((inp.o, inp.m_o), (inp.p, inp.m_p), (inp.q, inp.m_q)):
-        delta = point - b
-        n = _norm(delta)
+        point = _floats(point)
+        n = math.dist(point, b)
         if n == 0.0:
             return math.inf
-        total = total + mass ** inp.alpha * delta / n
-    return _norm(total)
+        w = mass ** inp.alpha
+        total = [t + w * (x - y) / n for t, x, y in zip(total, point, b)]
+    return math.hypot(*total)
 
 
 def _closest_point_on_triangle(b, o, p, q):
     """Euclidean projection of b onto the closed triangle opq."""
-    ab = p - o
-    ac = q - o
-    ap = b - o
-    d1 = float(np.dot(ab, ap))
-    d2 = float(np.dot(ac, ap))
+    ab = tuple(map(sub, p, o))
+    ac = tuple(map(sub, q, o))
+    ap = tuple(map(sub, b, o))
+    d1 = _dot(ab, ap)
+    d2 = _dot(ac, ap)
     if d1 <= 0 and d2 <= 0:
-        return o.copy()
-    bp = b - p
-    d3 = float(np.dot(ab, bp))
-    d4 = float(np.dot(ac, bp))
+        return o
+    bp = tuple(map(sub, b, p))
+    d3 = _dot(ab, bp)
+    d4 = _dot(ac, bp)
     if d3 >= 0 and d4 <= d3:
-        return p.copy()
+        return p
     vc = d1 * d4 - d3 * d2
     if vc <= 0 and d1 >= 0 and d3 <= 0:
         t = d1 / (d1 - d3)
-        return o + t * ab
-    cp = b - q
-    d5 = float(np.dot(ab, cp))
-    d6 = float(np.dot(ac, cp))
+        return tuple(x + t * y for x, y in zip(o, ab))
+    cp = tuple(map(sub, b, q))
+    d5 = _dot(ab, cp)
+    d6 = _dot(ac, cp)
     if d6 >= 0 and d5 <= d6:
-        return q.copy()
+        return q
     vb = d5 * d2 - d1 * d6
     if vb <= 0 and d2 >= 0 and d6 <= 0:
         t = d2 / (d2 - d6)
-        return o + t * ac
+        return tuple(x + t * y for x, y in zip(o, ac))
     va = d3 * d6 - d5 * d4
     if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
         t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return p + t * (q - p)
+        return tuple(x + t * (z - x) for x, z in zip(p, q))
     denom = va + vb + vc
     v = vb / denom
     w = vc / denom
-    return o + ab * v + ac * w
+    return tuple(x + y * v + z * w for x, y, z in zip(o, ab, ac))
 
 
 def solve_two_targets(inp: BifurcationInput) -> BifurcationResult:
@@ -193,90 +206,89 @@ def solve_two_targets(inp: BifurcationInput) -> BifurcationResult:
     returns a triangle vertex (degenerate cases) or builds the interior
     branch point from the circumcenter reflection construction.
     """
-    o, p, q = inp.o, inp.p, inp.q
-    op = p - o
-    oq = q - o
-    pq = q - p
-    l_op = _norm(op)
-    l_oq = _norm(oq)
-    l_pq = _norm(pq)
-    scale = max(l_op, l_oq, l_pq)
-    angles = branch_angles(inp.m_p, inp.m_q, inp.m_o, inp.alpha)
+    o, p, q = _floats(inp.o), _floats(inp.p), _floats(inp.q)
+    m_p, m_q, alpha = inp.m_p, inp.m_q, inp.alpha
+    m_o = m_p + m_q
+    angles = branch_angles(m_p, m_q, m_o, alpha)
     t1, t2, t3 = angles
+    l_op = math.dist(o, p)
+    l_oq = math.dist(o, q)
+    l_pq = math.dist(p, q)
+    scale = max(l_op, l_oq, l_pq)
 
     if scale == 0.0:
         # all three points coincide: nothing to transport anywhere
-        return BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, o.copy(), 0.0, angles)
+        return BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, o, 0.0, angles, 0.0)
     if l_pq <= _COINCIDENT_REL * scale:
         raise DegenerateInputError("the two targets coincide")
 
+    w_o, w_p, w_q = m_o ** alpha, m_p ** alpha, m_q ** alpha
+    f_o = w_p * l_op + w_q * l_oq  # f at a corner comes from the side lengths
+
+    def at(case: BranchCase, b: tuple, cost: float) -> BifurcationResult:
+        return BifurcationResult(case, b, cost, angles, f_o)
+
     # a target sitting on the source absorbs the branch point
     if l_op <= _COINCIDENT_REL * scale or l_oq <= _COINCIDENT_REL * scale:
-        b = o.copy()
-        return BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, b, objective_f(b, inp), angles)
-
-    ang_o = _angle(op, oq)
-    if ang_o >= t3:
-        b = o.copy()
-        return BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, b, objective_f(b, inp), angles)
-    ang_q = _angle(o - q, p - q)
-    if ang_q >= t1:
-        b = q.copy()
-        return BifurcationResult(BranchCase.COLLAPSE_TO_Q, b, objective_f(b, inp), angles)
-    ang_p = _angle(o - p, q - p)
-    if ang_p >= t2:
-        b = p.copy()
-        return BifurcationResult(BranchCase.COLLAPSE_TO_P, b, objective_f(b, inp), angles)
+        return at(BranchCase.V_SHAPE_AT_SOURCE, o, f_o)
+    op = tuple(map(sub, p, o))
+    oq = tuple(map(sub, q, o))
+    pq = tuple(map(sub, q, p))
+    dot_o = _dot(op, oq)
+    if _angle(l_op, l_oq, dot_o) >= t3:  # the angle at O
+        return at(BranchCase.V_SHAPE_AT_SOURCE, o, f_o)
+    f_q = w_o * l_oq + w_p * l_pq
+    if _angle(l_oq, l_pq, _dot(oq, pq)) >= t1:  # the angle at Q
+        return at(BranchCase.COLLAPSE_TO_Q, q, f_q)
+    f_p = w_o * l_op + w_q * l_pq
+    if _angle(l_op, l_pq, -_dot(op, pq)) >= t2:  # the angle at P
+        return at(BranchCase.COLLAPSE_TO_P, p, f_p)
 
     # interior branch point via circumcenters of the chords OP and OQ
-    dot_pq = float(np.dot(op, oq))
-    qm = (dot_pq / (l_op * l_op)) * op - oq  # foot of the altitude from Q, minus Q
-    ph = (dot_pq / (l_oq * l_oq)) * oq - op
-    n_qm = _norm(qm)
-    n_ph = _norm(ph)
-    cot1 = math.cos(t1) / math.sin(t1)
-    cot2 = math.cos(t2) / math.sin(t2)
-    r_center = (o + p) / 2.0 - (cot1 / 2.0) * (qm / n_qm) * l_op
-    s_center = (o + q) / 2.0 - (cot2 / 2.0) * (ph / n_ph) * l_oq
-    rs = s_center - r_center
-    rs_sq = float(np.dot(rs, rs))
-    if rs_sq <= (_COINCIDENT_REL * scale) ** 2:
-        lam = 0.0  # concentric limit: reflect straight through the center
-    else:
-        lam = float(np.dot(o - r_center, rs)) / rs_sq
-    b = 2.0 * ((1.0 - lam) * r_center + lam * s_center) - o
-
-    if not np.all(np.isfinite(b)):
-        b = _closest_point_on_triangle(np.nan_to_num(b), o, p, q)
-    else:
+    try:
+        c_q = dot_o / (l_op * l_op)
+        c_p = dot_o / (l_oq * l_oq)
+        qm = [c_q * x - y for x, y in zip(op, oq)]  # foot of the altitude from Q, minus Q
+        ph = [c_p * y - x for x, y in zip(op, oq)]
+        n_qm = math.hypot(*qm)
+        n_ph = math.hypot(*ph)
+        h1 = (math.cos(t1) / math.sin(t1)) / 2.0
+        h2 = (math.cos(t2) / math.sin(t2)) / 2.0
+        r = [(x + y) / 2.0 - h1 * (z / n_qm) * l_op for x, y, z in zip(o, p, qm)]
+        s = [(x + y) / 2.0 - h2 * (z / n_ph) * l_oq for x, y, z in zip(o, q, ph)]
+        rs = list(map(sub, s, r))
+        rs_sq = _dot(rs, rs)
+        tol = _COINCIDENT_REL * scale
+        if rs_sq <= tol * tol:
+            lam = 0.0  # concentric limit: reflect straight through the center
+        else:
+            lam = _dot(map(sub, o, r), rs) / rs_sq
+        b = tuple(2.0 * ((1.0 - lam) * x + lam * y) - z for x, y, z in zip(r, s, o))
+    except ZeroDivisionError:
+        b = None
+    if b is not None and all(map(math.isfinite, b)):
         # guard: the reflection must land inside the closed triangle
-        bar = _barycentric(b, o, p, q)
-        if bar is not None and min(bar) < -1e-9:
-            b = _closest_point_on_triangle(b, o, p, q)
-
-    return BifurcationResult(BranchCase.INTERIOR_Y, b, objective_f(b, inp), angles)
-
-
-def _barycentric(b, o, p, q):
-    """Barycentric coordinates of b in triangle opq, None when degenerate."""
-    v0 = p - o
-    v1 = q - o
-    v2 = b - o
-    d00 = float(np.dot(v0, v0))
-    d01 = float(np.dot(v0, v1))
-    d11 = float(np.dot(v1, v1))
-    d20 = float(np.dot(v2, v0))
-    d21 = float(np.dot(v2, v1))
-    denom = d00 * d11 - d01 * d01
-    if denom <= 0.0:
-        return None
-    s = (d11 * d20 - d01 * d21) / denom
-    t = (d00 * d21 - d01 * d20) / denom
-    return (1.0 - s - t, s, t)
+        ob = tuple(map(sub, b, o))
+        d00, d01, d11 = l_op * l_op, dot_o, l_oq * l_oq
+        denom = d00 * d11 - d01 * d01
+        if denom > 0.0:
+            d20, d21 = _dot(ob, op), _dot(ob, oq)
+            s_bar = (d11 * d20 - d01 * d21) / denom
+            t_bar = (d00 * d21 - d01 * d20) / denom
+            if min(1.0 - s_bar - t_bar, s_bar, t_bar) < -1e-9:
+                b = _closest_point_on_triangle(b, o, p, q)
+        cost = w_o * math.dist(b, o) + w_p * math.dist(p, b) + w_q * math.dist(q, b)
+        if cost < min(f_o, f_q, f_p):
+            return at(BranchCase.INTERIOR_Y, b, cost)
+    # The construction broke down, or it ended no lower than a corner, as it
+    # can on a sliver triangle (two targets a hair above the coincidence
+    # threshold); f is convex, so the best corner is the better answer.
+    return min(at(BranchCase.V_SHAPE_AT_SOURCE, o, f_o), at(BranchCase.COLLAPSE_TO_Q, q, f_q),
+               at(BranchCase.COLLAPSE_TO_P, p, f_p), key=attrgetter("cost"))
 
 
 def advantage(inp: BifurcationInput) -> float:
     """Savings of the optimal bifurcation over the plain V shape,
     f(O) - f(B*); zero exactly when the V shape is already optimal."""
     result = solve_two_targets(inp)
-    return objective_f(inp.o, inp) - result.cost
+    return result.v_cost - result.cost

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -56,6 +57,14 @@ def _read_input(path: str) -> bytes:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _check_writable(path: str) -> None:
+    """Raise InputError, creating nothing, unless path names a file in an
+    existing writable directory."""
+    target = Path(path)
+    if target.is_dir() or not (target.parent.is_dir() and os.access(target.parent, os.W_OK)):
+        raise InputError(f"cannot write {path}: not a file in a writable directory")
+
+
 def _write_output(path: str, blob: bytes) -> None:
     try:
         Path(path).write_bytes(blob)
@@ -72,10 +81,11 @@ def _load_instance(args: argparse.Namespace):
 
 def _emit(net, alpha: float, args: argparse.Namespace) -> None:
     blob = export_network(net, alpha)
+    svg = render_svg(net, alpha) if args.out_svg else None
     if args.out_json:
         _write_output(args.out_json, blob)
-    if args.out_svg:
-        _write_output(args.out_svg, render_svg(net, alpha))
+    if svg is not None:
+        _write_output(args.out_svg, svg)
     if args.out_json or args.out_svg:
         print(f"cost={net.cost_m_alpha(alpha)!r} vertices={net.n_vertices()} "
               f"edges={net.n_edges()}")
@@ -157,6 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # output paths are checked before any work, so a bad one costs no
+        # solve and leaves no partial output behind
+        for path in (getattr(args, "out_json", None), args.out_svg):
+            if path:
+                _check_writable(path)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bifurcation import BifurcationInput, BranchCase, objective_f, solve_two_targets
+from .bifurcation import BifurcationInput, BranchCase, solve_two_targets
 from .errors import DegenerateInputError, InputError
 from .measures import AtomicMeasure, Cube, bounding_cube, check_source_targets
 from .network import TransportNetwork
@@ -31,8 +31,9 @@ from .network import TransportNetwork
 MAX_DEPTH = 32
 
 
-def _greedy_small(o: np.ndarray, pool: list[tuple[np.ndarray, float]], alpha: float):
-    """Greedy bifurcation plan from source point o to the (point, mass) pool.
+def _greedy_small(o: tuple, pool: list[tuple[tuple, float]], alpha: float):
+    """Greedy bifurcation plan from source point o to the (point, mass) pool,
+    all points tuples of floats.
 
     Returns (junctions, edges).  Node 0 is o, nodes 1..len(pool) are the pool
     entries in order, and the junction points follow in creation order;
@@ -40,7 +41,7 @@ def _greedy_small(o: np.ndarray, pool: list[tuple[np.ndarray, float]], alpha: fl
     adds them.  _wire puts a plan into a network."""
     n = len(pool)
     entries = [(i + 1, pt, m) for i, (pt, m) in enumerate(pool)]
-    junctions: list[np.ndarray] = []
+    junctions: list[tuple] = []
     edges: list[tuple[int, int, float]] = []
     gains: dict[tuple[int, int], tuple[float, object]] = {}
 
@@ -53,7 +54,7 @@ def _greedy_small(o: np.ndarray, pool: list[tuple[np.ndarray, float]], alpha: fl
             res = solve_two_targets(inp)
         except DegenerateInputError:
             return
-        gains[(i, j)] = (objective_f(o, inp) - res.cost, res)
+        gains[(i, j)] = (res.v_cost - res.cost, res)
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -78,7 +79,7 @@ def _greedy_small(o: np.ndarray, pool: list[tuple[np.ndarray, float]], alpha: fl
             hub, hub_point = nb, pb
             edges.append((nb, na, ma))
         else:  # interior branch point (a V shape has zero gain, never picked)
-            hub, hub_point = n + 1 + len(junctions), np.asarray(res.b_star, dtype=float)
+            hub, hub_point = n + 1 + len(junctions), res.b_star
             junctions.append(hub_point)
             edges += [(hub, na, ma), (hub, nb, mb)]
         k = len(entries)
@@ -108,7 +109,8 @@ def build_small(source_point, source_mass: float, targets: AtomicMeasure,
     check_source_targets(source_point, source_mass, targets)
     net = TransportNetwork(source_point, source_mass)
     ids = [net.root] + [net.add_vertex(pt, terminal=True) for pt in targets.points]
-    _wire(net, ids, *_greedy_small(net.point(net.root), list(targets.atoms()), alpha))
+    pool = [(net.point(vid), m) for vid, (_, m) in zip(ids[1:], targets.atoms())]
+    _wire(net, ids, *_greedy_small(net.point(net.root), pool, alpha))
     net.canonicalize()
     return net
 
@@ -147,7 +149,7 @@ def build_subdivision(source_point, source_mass: float, targets: AtomicMeasure,
             return
         o = net.point(src_vid)
         if len(atom_idx) <= capacity:
-            pool = [(targets.points[i], float(targets.masses[i])) for i in atom_idx]
+            pool = [(net.point(leaf_ids[i]), float(targets.masses[i])) for i in atom_idx]
             _wire(net, [src_vid] + [leaf_ids[i] for i in atom_idx],
                   *_greedy_small(o, pool, alpha))
             return
@@ -161,8 +163,8 @@ def build_subdivision(source_point, source_mass: float, targets: AtomicMeasure,
             if members:
                 groups.append((sub, members))
         centers = [net.add_vertex(sub.center) for sub, _ in groups]
-        pool = [(sub.center, float(sum(targets.masses[i] for i in members)))
-                for sub, members in groups]
+        pool = [(net.point(cvid), float(sum(targets.masses[i] for i in members)))
+                for cvid, (_, members) in zip(centers, groups)]
         _wire(net, [src_vid] + centers, *_greedy_small(o, pool, alpha))
         for (sub, members), cvid in zip(groups, centers):
             recurse(cvid, members, sub, depth + 1)

@@ -12,6 +12,8 @@ cost = sum over edges of weight**alpha * length.
 """
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,31 +48,34 @@ class BalanceReport:
 
 
 class TransportNetwork:
+    """Vertex points are tuples of floats, stored once; each vertex's
+    children are kept as a sorted list of ids."""
+
     def __init__(self, root_point, source_mass: float):
-        root_point = np.asarray(root_point, dtype=float)
-        self.dimension = int(root_point.shape[0])
+        root_point = tuple(map(float, root_point))
+        self.dimension = len(root_point)
         self.source_mass = float(source_mass)
-        self._points: dict[int, np.ndarray] = {}
+        self._points: dict[int, tuple[float, ...]] = {}
         self._parent: dict[int, int] = {}
         self._weight: dict[int, float] = {}
-        self._children: dict[int, set[int]] = {}
+        self._children: dict[int, list[int]] = {}
         self._terminal: set[int] = set()
         self._next_id = 0
         self.root = self._new_vertex(root_point)
 
     # ---------------- structure editing ----------------
 
-    def _new_vertex(self, point: np.ndarray) -> int:
+    def _new_vertex(self, point: tuple[float, ...]) -> int:
         vid = self._next_id
         self._next_id += 1
-        self._points[vid] = np.array(point, dtype=float)
-        self._children[vid] = set()
+        self._points[vid] = point
+        self._children[vid] = []
         return vid
 
     def add_vertex(self, point, terminal: bool = False,
                    vid: int | None = None) -> int:
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.dimension,):
+        point = tuple(map(float, point))
+        if len(point) != self.dimension:
             raise ValueError(f"point must have dimension {self.dimension}")
         if vid is None:
             vid = self._new_vertex(point)
@@ -78,8 +83,8 @@ class TransportNetwork:
             vid = int(vid)
             if vid in self._points:
                 raise ValueError(f"vertex id {vid} already exists")
-            self._points[vid] = np.array(point, dtype=float)
-            self._children[vid] = set()
+            self._points[vid] = point
+            self._children[vid] = []
             self._next_id = max(self._next_id, vid + 1)
         if terminal:
             self._terminal.add(vid)
@@ -96,12 +101,12 @@ class TransportNetwork:
             raise InvariantViolation(f"edge {parent}->{child} would close a cycle", network=self)
         self._parent[child] = parent
         self._weight[child] = float(weight)
-        self._children[parent].add(child)
+        bisect.insort(self._children[parent], child)
 
     def remove_edge(self, child: int) -> None:
         parent = self._parent.pop(child)
         self._weight.pop(child)
-        self._children[parent].discard(child)
+        self._children[parent].remove(child)
 
     def set_weight(self, child: int, weight: float) -> None:
         if child not in self._parent:
@@ -125,14 +130,14 @@ class TransportNetwork:
     def vertices(self) -> list[int]:
         return sorted(self._points)
 
-    def point(self, vid: int) -> np.ndarray:
+    def point(self, vid: int) -> tuple[float, ...]:
         return self._points[vid]
 
     def parent(self, vid: int) -> int | None:
         return self._parent.get(vid)
 
     def children(self, vid: int) -> list[int]:
-        return sorted(self._children[vid])
+        return self._children[vid][:]
 
     def is_terminal(self, vid: int) -> bool:
         return vid in self._terminal
@@ -154,8 +159,7 @@ class TransportNetwork:
         return len(self._parent)
 
     def edge_length(self, child: int) -> float:
-        d = self._points[child] - self._points[self._parent[child]]
-        return float(np.sqrt(np.dot(d, d)))
+        return math.dist(self._points[self._parent[child]], self._points[child])
 
     def edge_mass(self, vid: int) -> float:
         """Mass flowing into vid: its parent-edge weight, or the full source
@@ -192,7 +196,7 @@ class TransportNetwork:
         while stack:
             v = stack.pop()
             out.append(v)
-            stack.extend(sorted(self._children[v], reverse=True))
+            stack.extend(reversed(self._children[v]))
         return out
 
     def bfs_order(self) -> list[int]:
@@ -202,9 +206,8 @@ class TransportNetwork:
         while queue:
             nxt = []
             for v in queue:
-                for c in self.children(v):
-                    order.append(c)
-                    nxt.append(c)
+                order += self._children[v]
+                nxt += self._children[v]
             queue = nxt
         return order
 
@@ -220,10 +223,10 @@ class TransportNetwork:
         dup = TransportNetwork.__new__(TransportNetwork)
         dup.dimension = self.dimension
         dup.source_mass = self.source_mass
-        dup._points = {v: p.copy() for v, p in self._points.items()}
+        dup._points = dict(self._points)
         dup._parent = dict(self._parent)
         dup._weight = dict(self._weight)
-        dup._children = {v: set(s) for v, s in self._children.items()}
+        dup._children = {v: c[:] for v, c in self._children.items()}
         dup._terminal = set(self._terminal)
         dup._next_id = self._next_id
         dup.root = self.root
@@ -233,10 +236,10 @@ class TransportNetwork:
         """Overwrite this network's state with a snapshot taken via copy()."""
         self.dimension = other.dimension
         self.source_mass = other.source_mass
-        self._points = {v: p.copy() for v, p in other._points.items()}
+        self._points = dict(other._points)
         self._parent = dict(other._parent)
         self._weight = dict(other._weight)
-        self._children = {v: set(s) for v, s in other._children.items()}
+        self._children = {v: c[:] for v, c in other._children.items()}
         self._terminal = set(other._terminal)
         self._next_id = other._next_id
         self.root = other.root
@@ -257,14 +260,14 @@ class TransportNetwork:
         demand: dict[int, float] = {}
         pos_index: dict[tuple, int] = {}
         for vid in self.vertices():
-            key = tuple(self._points[vid].tolist())
+            key = self._points[vid]
             if key not in pos_index:
                 pos_index[key] = vid
             elif vid in self._terminal and pos_index[key] not in self._terminal:
                 pos_index[key] = vid
 
         report = BalanceReport()
-        root_key = tuple(self._points[self.root].tolist())
+        root_key = self._points[self.root]
         for pt, mass in source.atoms():
             key = tuple(np.asarray(pt, dtype=float).tolist())
             if key == root_key:
@@ -293,7 +296,7 @@ class TransportNetwork:
         for child, parent in self._parent.items():
             if parent not in self._points:
                 problems.append(f"edge {parent}->{child} references a missing parent")
-            if child not in self._children.get(parent, set()):
+            if child not in self._children.get(parent, ()):
                 problems.append(f"child index missing entry {parent}->{child}")
         for child, w in self._weight.items():
             if w <= 0:
@@ -365,7 +368,7 @@ class TransportNetwork:
                     parent = self._parent[vid]
                     # exact in reals by the triangle inequality; the check
                     # only skips ulp-level rounding reversals
-                    direct = float(np.linalg.norm(self._points[parent] - self._points[child]))
+                    direct = math.dist(self._points[parent], self._points[child])
                     if direct > self.edge_length(vid) + self.edge_length(child):
                         continue
                     w = self._weight[child]
@@ -465,7 +468,7 @@ class TransportNetwork:
             raise InvariantViolation(
                 f"merging vertices {u} and {v} would break the tree structure",
                 network=self)
-        for child in sorted(self._children[gone]):
+        for child in self._children[gone][:]:
             w = self._weight[child]
             self.remove_edge(child)
             self.add_edge(keep, child, w)

@@ -80,7 +80,7 @@ def subdivide_long_edges(net: TransportNetwork, config: OptimizeConfig) -> list[
             continue
         if net.n_vertices() >= cap:
             break
-        mid = (net.point(parent) + net.point(child)) / 2.0
+        mid = [(a + b) / 2.0 for a, b in zip(net.point(parent), net.point(child))]
         vid = net.add_vertex(mid)
         net.remove_edge(child)
         net.add_edge(parent, vid, w)
@@ -125,7 +125,7 @@ def predicted_gain(net: TransportNetwork, u: int, v: int, alpha: float) -> float
     if net.is_descendant(v, u):
         raise ValueError(f"vertex {v} lies inside the subtree of {u}")
     s_val, _, ma, c = _reparent_terms(net, u, alpha)
-    return s_val - (c[v] + float(np.linalg.norm(net.point(v) - net.point(u))) * ma)
+    return s_val - (c[v] + math.dist(net.point(v), net.point(u)) * ma)
 
 
 def evaluate_reparent(net: TransportNetwork, u: int, alpha: float,
@@ -149,7 +149,7 @@ def evaluate_reparent(net: TransportNetwork, u: int, alpha: float,
             continue
         if v not in c_all:
             continue  # unreachable from the root; not a valid attachment
-        dist = float(np.linalg.norm(net.point(v) - pu))
+        dist = math.dist(net.point(v), pu)
         if dist > sigma * (1.0 + 1e-12):
             continue
         t_val = c_all[v] + dist * ma

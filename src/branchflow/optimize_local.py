@@ -11,7 +11,7 @@ a local minimum.
 """
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .config import OptimizeConfig, mass_tolerance
 from .construct import _greedy_small, _wire
@@ -28,7 +28,7 @@ def star_cost(net: TransportNetwork, u: int, alpha: float) -> float:
     return total
 
 
-def _star_pool(net: TransportNetwork, u: int) -> list[tuple[int, np.ndarray, float]] | None:
+def _star_pool(net: TransportNetwork, u: int) -> list[tuple[int, tuple, float]] | None:
     """Vertices the rebuilt star must reach: children, plus u itself when it
     consumes mass as a target.  None when u's star should not be touched."""
     m_u = net.edge_mass(u)
@@ -67,8 +67,7 @@ def improve_vertex(net: TransportNetwork, u: int, alpha: float,
     points = [o] + [pt for _, pt, _ in pool] + junctions
     plan_cost = 0.0
     for p, c, w in edges:
-        d = points[c] - points[p]
-        plan_cost += w ** alpha * float(np.sqrt(np.dot(d, d)))
+        plan_cost += w ** alpha * math.dist(points[p], points[c])
     if star_cost(net, u, alpha) - plan_cost <= eps_improve:
         return False
 

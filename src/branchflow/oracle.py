@@ -284,7 +284,7 @@ def _descend(root: _Node, source: np.ndarray, alpha: float) -> bool:
                 new_pos = solve_two_targets(inp).b_star
             except InputError:
                 new_pos = node.pos  # children coincide; leave the junction be
-            moved = max(moved, float(np.linalg.norm(new_pos - node.pos)))
+            moved = max(moved, math.dist(new_pos, node.pos))
             node.pos = new_pos
             parents[id(node.left)] = new_pos
             parents[id(node.right)] = new_pos
@@ -293,8 +293,8 @@ def _descend(root: _Node, source: np.ndarray, alpha: float) -> bool:
     return False
 
 
-def _tree_cost(node: _Node, parent_pos: np.ndarray, alpha: float) -> float:
-    c = node.mass ** alpha * float(np.linalg.norm(node.pos - parent_pos))
+def _tree_cost(node: _Node, parent_pos, alpha: float) -> float:
+    c = node.mass ** alpha * math.dist(node.pos, parent_pos)
     if node.leaf is None:
         c += _tree_cost(node.left, node.pos, alpha)
         c += _tree_cost(node.right, node.pos, alpha)

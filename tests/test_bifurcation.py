@@ -126,7 +126,7 @@ def test_three_dimensional_interior():
     assert balance_residual(res.b_star, inp) <= 1e-8
     # realized geometry matches the optimal angles
     t1, t2, t3 = branch_angles(inp.m_p, inp.m_q, inp.m_o, inp.alpha)
-    b = res.b_star
+    b = np.asarray(res.b_star)
     u_o = (inp.o - b) / np.linalg.norm(inp.o - b)
     u_p = (inp.p - b) / np.linalg.norm(inp.p - b)
     u_q = (inp.q - b) / np.linalg.norm(inp.q - b)

@@ -246,6 +246,36 @@ def test_unwritable_output_exits_2(capsys, tmp_path, spot_file, command, flag):
     assert err.startswith("error: cannot write"), err
 
 
+@pytest.mark.parametrize("bad", ["missing-dir", "directory", "file-as-dir"])
+def test_bad_svg_path_exits_2_before_solving(capsys, tmp_path, spot_file, monkeypatch, bad):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("global_optimize ran despite a bad output path")
+
+    monkeypatch.setattr(cli, "global_optimize", no_solve)
+    (tmp_path / "plain").write_text("")
+    out_svg = {"missing-dir": tmp_path / "no" / "such" / "dir" / "x.svg",
+               "directory": tmp_path,
+               "file-as-dir": tmp_path / "plain" / "x.svg"}[bad]
+    out_json = tmp_path / "ok.json"
+    code, out, err = run_cli(capsys, "solve", "--input", spot_file, "--out-json", str(out_json),
+                             "--out-svg", str(out_svg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write"), err
+    assert not out_json.exists()
+
+
+def test_failed_svg_render_writes_no_json(capsys, tmp_path, spot_file, monkeypatch):
+    def broken_render(net, alpha):
+        raise InvariantViolation("render failed")
+
+    monkeypatch.setattr(cli, "render_svg", broken_render)
+    out_json = tmp_path / "net.json"
+    code, _, _ = run_cli(capsys, "solve", "--input", spot_file, "--out-json", str(out_json),
+                         "--out-svg", str(tmp_path / "net.svg"))
+    assert code == 3
+    assert not out_json.exists()
+
+
 def _target_point(point):
     return {**SPOT, "targets": [{"point": point, "mass": 0.5}, SPOT["targets"][1]]}
 

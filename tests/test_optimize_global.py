@@ -105,7 +105,7 @@ def brute_force_reparent(net, u, alpha):
     for v in net.vertices():
         if net.is_descendant(v, u) or v == net.parent(u):
             continue
-        if float(np.linalg.norm(net.point(v) - net.point(u))) > sigma * (1.0 + 1e-12):
+        if math.dist(net.point(v), net.point(u)) > sigma * (1.0 + 1e-12):
             continue
         gain = predicted_gain(net, u, v, alpha)
         if gain > best_gain:

@@ -322,7 +322,7 @@ def test_edited_rejected_star_is_scored_again(monkeypatch, edit):
         if edit == "set_weight":
             net.set_weight(child, net.edge_mass(child) / 2)
         elif edit == "add_child":
-            net.add_edge(u, net.add_vertex(net.point(u) + 0.01, terminal=True), 1e-3)
+            net.add_edge(u, net.add_vertex(np.add(net.point(u), 0.01), terminal=True), 1e-3)
         else:
             inflow = net.edge_mass(u)
             rewire(net, leaf, child)
