@@ -30,16 +30,16 @@ the same arithmetic covers any ambient dimension.
 The solver runs on plain Python floats: points are tuples, and the three
 side lengths (math.dist) and the three pairwise dot products of the
 triangle are computed once, then shared by the angle tests, the corner
-costs and the inside-the-triangle guard.
+costs and the inside-the-triangle guard.  A triangle whose longest side is
+outside 2**+-500 is solved scaled by an exact power of two, so that the
+squared lengths in the angle tests neither underflow nor overflow.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from operator import attrgetter, mul, sub
-
-import numpy as np
 
 from .errors import DegenerateInputError
 
@@ -135,15 +135,6 @@ def objective_f(b, inp: BifurcationInput) -> float:
     )
 
 
-def _objective_batch(bs: np.ndarray, inp: BifurcationInput) -> np.ndarray:
-    """f evaluated on an (n, d) batch of branch points."""
-    d_o = np.sqrt(np.sum((bs - inp.o) ** 2, axis=1))
-    d_p = np.sqrt(np.sum((bs - inp.p) ** 2, axis=1))
-    d_q = np.sqrt(np.sum((bs - inp.q) ** 2, axis=1))
-    a = inp.alpha
-    return inp.m_o ** a * d_o + inp.m_p ** a * d_p + inp.m_q ** a * d_q
-
-
 def balance_residual(b, inp: BifurcationInput) -> float:
     """Norm of the weighted unit-vector balance at B.
 
@@ -215,6 +206,9 @@ def solve_two_targets(inp: BifurcationInput) -> BifurcationResult:
     l_oq = math.dist(o, q)
     l_pq = math.dist(p, q)
     scale = max(l_op, l_oq, l_pq)
+    k = math.frexp(scale)[1]
+    if not -500 < k < 500:
+        return _rescaled(inp, o, p, q, k)
 
     if scale == 0.0:
         # all three points coincide: nothing to transport anywhere
@@ -285,6 +279,19 @@ def solve_two_targets(inp: BifurcationInput) -> BifurcationResult:
     # threshold); f is convex, so the best corner is the better answer.
     return min(at(BranchCase.V_SHAPE_AT_SOURCE, o, f_o), at(BranchCase.COLLAPSE_TO_Q, q, f_q),
                at(BranchCase.COLLAPSE_TO_P, p, f_p), key=attrgetter("cost"))
+
+
+def _rescaled(inp: BifurcationInput, o: tuple, p: tuple, q: tuple,
+              k: int) -> BifurcationResult:
+    """solve_two_targets on the triangle scaled by 2**-k, which is exact, with
+    B* and the costs scaled back; a corner B* is the corner point given."""
+    down = [tuple(math.ldexp(x, -k) for x in v) for v in (o, p, q)]
+    res = solve_two_targets(replace(inp, o=down[0], p=down[1], q=down[2]))
+    corner = {BranchCase.V_SHAPE_AT_SOURCE: o, BranchCase.COLLAPSE_TO_P: p,
+              BranchCase.COLLAPSE_TO_Q: q}.get(res.case)
+    b = corner if corner is not None else tuple(math.ldexp(x, k) for x in res.b_star)
+    return BifurcationResult(res.case, b, math.ldexp(res.cost, k), res.angles,
+                             math.ldexp(res.v_cost, k))
 
 
 def advantage(inp: BifurcationInput) -> float:

@@ -6,9 +6,9 @@ through its optimal branch point instead of two direct edges from the source,
 merges the best pair into a pseudo-target at that branch point, and repeats
 until no pair saves anything.  Whatever remains connects straight to the
 source.  The pairing (_greedy_small) works on plain points and returns a
-plan of junction points and weighted edges; _wire is the one place a plan
-becomes vertices and edges of a network, here and in the local star
-rebuilds of optimize_local.
+plan of junction points and weighted edges; plan_cost scores a plan, and
+_wire is the one place a plan becomes vertices and edges of a network: here,
+in the local star rebuilds of optimize_local and in the exhaustive oracle.
 
 build_subdivision scales to many targets by recursive spatial subdivision:
 the bounding cube splits into lam**d equal cells (lam = 3 in the plane, 2
@@ -20,6 +20,8 @@ with at most lam**d + 1 neighbors.
 build_star is the trivial baseline: one direct edge per target.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -92,6 +94,15 @@ def _greedy_small(o: tuple, pool: list[tuple[tuple, float]], alpha: float):
 
     edges.extend((0, entries[i][0], entries[i][2]) for i in alive)
     return junctions, edges
+
+
+def plan_cost(points, edges, alpha: float) -> float:
+    """Cost of a plan: w**alpha * length summed over its edges in plan
+    order, points indexed by node as in the plan."""
+    total = 0.0
+    for p, c, w in edges:
+        total += w ** alpha * math.dist(points[p], points[c])
+    return total
 
 
 def _wire(net: TransportNetwork, ids: list[int], junctions, edges) -> None:

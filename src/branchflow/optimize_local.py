@@ -11,10 +11,8 @@ a local minimum.
 """
 from __future__ import annotations
 
-import math
-
 from .config import OptimizeConfig, mass_tolerance
-from .construct import _greedy_small, _wire
+from .construct import _greedy_small, _wire, plan_cost
 from .network import TransportNetwork
 
 MAX_LOCAL_SWEEPS = 200
@@ -49,8 +47,7 @@ def improve_vertex(net: TransportNetwork, u: int, alpha: float,
     """Rebuild u's star and splice the result in when strictly cheaper.
 
     The greedy plan from parent(u) to the star pool is scored on plain
-    points, summing w**alpha * length over its edges in plan order as
-    cost_m_alpha would, and accepted when it undercuts star_cost(net, u) by
+    points by plan_cost, and accepted when it undercuts star_cost(net, u) by
     more than eps_improve.  That difference is the exact change of the full
     network cost, so the old star is torn out and the plan wired in as
     scored, with no re-check.  When a trace list is given, the full cost is
@@ -65,10 +62,7 @@ def improve_vertex(net: TransportNetwork, u: int, alpha: float,
     o = net.point(parent)
     junctions, edges = _greedy_small(o, [(pt, m) for _, pt, m in pool], alpha)
     points = [o] + [pt for _, pt, _ in pool] + junctions
-    plan_cost = 0.0
-    for p, c, w in edges:
-        plan_cost += w ** alpha * math.dist(points[p], points[c])
-    if star_cost(net, u, alpha) - plan_cost <= eps_improve:
+    if star_cost(net, u, alpha) - plan_cost(points, edges, alpha) <= eps_improve:
         return False
 
     cost_before = net.cost_m_alpha(alpha) if trace is not None else None

@@ -4,14 +4,18 @@ grid_minimize_f minimizes the single-bifurcation cost over the closed
 triangle by brute force: a dense barycentric grid followed by rounds of a
 shrinking 9-point stencil.  The grid is built once per resolution and
 shared, read-only, by every call; the stencil evaluates f on plain floats.
-It never uses the closed-form construction.
+Every triangle, collinear ones included, takes this one path.  It never
+uses the closed-form construction.
 
 enumerate_optimal solves tiny instances (up to four targets) exactly up to
 junction-placement tolerance: it enumerates every full binary branching
-topology over the targets, optimizes junction coordinates by coordinate
-descent, and returns the cheapest result.  Degenerate optima (junctions
-collapsing onto the source, a target, or each other) appear as zero-length
-edges and are cleaned away when the winning network is materialized.
+topology over the targets as a plan in construct._greedy_small's format,
+places its junctions by a smoothed joint solve and coordinate descent, and
+scores it with construct.plan_cost; construct._wire wires the cheapest.
+Only the plan format, the cost sum and the wiring are shared with the
+solver.  Degenerate optima (junctions collapsing onto the source, a target,
+or each other) appear as zero-length edges and are cleaned away when the
+winning network is canonicalized.
 """
 from __future__ import annotations
 
@@ -23,7 +27,8 @@ from typing import Iterator
 import numpy as np
 from scipy.optimize import minimize
 
-from .bifurcation import BifurcationInput, _objective_batch, solve_two_targets
+from .bifurcation import BifurcationInput, solve_two_targets
+from .construct import _wire, plan_cost
 from .errors import InputError
 from .measures import AtomicMeasure, check_source_targets
 from .network import TransportNetwork
@@ -61,16 +66,12 @@ def grid_minimize_f(inp: BifurcationInput, resolution: int = GRID_RESOLUTION):
 
     Returns (point, value) for any ambient dimension.  The barycentric
     grid is built once per resolution and reused by later calls; the
-    stencil walk runs on plain floats.  Degenerate triangles fall back to
-    a segment search between the two farthest corners.
+    stencil walk runs on plain floats.  A degenerate (collinear) triangle
+    takes the same path: its grid and stencil points cover the segment.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     corners = np.stack([inp.o, inp.p, inp.q])
-
-    if _is_collinear(corners):
-        return _segment_minimize(corners, inp, resolution)
-
     a = float(inp.alpha)
     weights = (float(inp.m_o) ** a, float(inp.m_p) ** a, float(inp.m_q) ** a)
     bars = _barycentric_grid(resolution)
@@ -111,47 +112,6 @@ def grid_minimize_f(inp: BifurcationInput, resolution: int = GRID_RESOLUTION):
     return np.array([b0, b1, b2]) @ corners, best_val
 
 
-def _is_collinear(corners: np.ndarray) -> bool:
-    o, p, q = corners
-    v1 = p - o
-    v2 = q - o
-    n1 = np.linalg.norm(v1)
-    n2 = np.linalg.norm(v2)
-    scale = max(n1, n2)
-    if scale == 0.0:
-        return True
-    dot = float(np.dot(v1, v2))
-    cross_sq = max(n1 * n1 * n2 * n2 - dot * dot, 0.0)
-    return math.sqrt(cross_sq) <= 1e-12 * scale * scale
-
-
-def _segment_minimize(corners: np.ndarray, inp: BifurcationInput, resolution: int):
-    """1-d brute force along the segment spanned by collinear corners."""
-    d = [(np.linalg.norm(corners[i] - corners[j]), i, j)
-         for i in range(3) for j in range(i + 1, 3)]
-    _, i, j = max(d)
-    a, b = corners[i], corners[j]
-    ts = np.linspace(0.0, 1.0, resolution + 1)
-    pts = a + ts[:, None] * (b - a)
-    vals = _objective_batch(pts, inp)
-    k = int(np.argmin(vals))
-    best_t = float(ts[k])
-    best_val = float(vals[k])
-    h = 1.0 / resolution
-    for _ in range(REFINE_ROUNDS):
-        for _ in range(64):
-            cand_t = np.clip([best_t - h, best_t, best_t + h], 0.0, 1.0)
-            cand = a + np.asarray(cand_t)[:, None] * (b - a)
-            vals = _objective_batch(cand, inp)
-            k = int(np.argmin(vals))
-            if vals[k] >= best_val:
-                break
-            best_val = float(vals[k])
-            best_t = float(cand_t[k])
-        h /= 2.0
-    return a + best_t * (b - a), best_val
-
-
 # ---------------- exhaustive tiny-instance solver ----------------
 
 Shape = object  # a leaf index, or a tuple (left_shape, right_shape)
@@ -183,32 +143,39 @@ def _shapes_over(leaves: tuple[int, ...]) -> Iterator[Shape]:
                 yield (ls, rs)
 
 
-class _Node:
-    __slots__ = ("left", "right", "leaf", "mass", "pos")
+def _plan(shape: Shape, points: np.ndarray, masses):
+    """A topology as a _greedy_small-style plan (junctions, edges).
 
-    def __init__(self, shape, points, masses):
+    Node 0 is the source, nodes 1..n the targets and the junctions follow in
+    preorder, each starting at the midpoint of its two children's starts.
+    Edges (parent, child, weight) are listed in preorder, left child first."""
+    first = len(masses) + 1
+    junctions: list = []
+    edges: list = []
+
+    def mass(shape: Shape) -> float:
         if isinstance(shape, tuple):
-            self.leaf = None
-            self.left = _Node(shape[0], points, masses)
-            self.right = _Node(shape[1], points, masses)
-            self.mass = self.left.mass + self.right.mass
-            self.pos = (self.left.pos + self.right.pos) / 2.0
-        else:
-            self.leaf = int(shape)
-            self.left = self.right = None
-            self.mass = float(masses[self.leaf])
-            self.pos = np.array(points[self.leaf], dtype=float)
+            return mass(shape[0]) + mass(shape[1])
+        return float(masses[shape])
 
-    def junctions(self):
-        if self.leaf is not None:
-            return
-        yield self
-        yield from self.left.junctions()
-        yield from self.right.junctions()
+    def walk(shape: Shape, parent: int):
+        """Add shape's subtree below parent; return its start point."""
+        if not isinstance(shape, tuple):
+            edges.append((parent, shape + 1, mass(shape)))
+            return points[shape]
+        node = first + len(junctions)
+        junctions.append(None)
+        edges.append((parent, node, mass(shape)))
+        junctions[node - first] = (walk(shape[0], node) + walk(shape[1], node)) / 2.0
+        return junctions[node - first]
+
+    walk(shape, 0)
+    return junctions, edges
 
 
-def _joint_smooth_min(root: _Node, source: np.ndarray, alpha: float) -> None:
-    """Jointly minimize junction positions on a smoothed objective.
+def _joint_smooth_min(points: list, edges, first: int, alpha: float) -> None:
+    """Jointly minimize the junction positions points[first:] of a plan on a
+    smoothed objective, in place.
 
     For a fixed topology the cost is convex in the junction coordinates but
     not smooth, and per-junction block descent can stall where junctions
@@ -216,89 +183,59 @@ def _joint_smooth_min(root: _Node, source: np.ndarray, alpha: float) -> None:
     delta keeps the problem smooth and convex the whole way down, so a
     quasi-Newton solve tracks the true minimizer reliably.
     """
-    nodes = list(root.junctions())
-    if not nodes:
+    free = len(points) - first
+    if not free:
         return
-    d = len(source)
-    index = {id(n): i for i, n in enumerate(nodes)}
-    edges: list[tuple[int, np.ndarray | None, int, np.ndarray | None, float]] = []
-
-    def walk(node: _Node, parent) -> None:
-        me = index[id(node)] if node.leaf is None else None
-        coef = node.mass ** alpha
-        pi = parent if isinstance(parent, int) else None
-        pp = None if isinstance(parent, int) else parent
-        ci = me
-        cp = None if me is not None else node.pos
-        edges.append((pi, pp, ci, cp, coef))
-        if node.leaf is None:
-            walk(node.left, me)
-            walk(node.right, me)
-
-    walk(root, source)
-    leafs = np.vstack([source.reshape(1, -1)] +
-                      [e[3].reshape(1, -1) for e in edges if e[3] is not None])
-    scale = max(float(np.ptp(leafs, axis=0).max()), 1e-9)
+    # junction rows are indexed from 0; a negative row marks a fixed point
+    terms = [(p - first, points[p], c - first, points[c], w ** alpha)
+             for p, c, w in edges]
+    scale = max(float(np.ptp(np.vstack(points[:first]), axis=0).max()), 1e-9)
 
     def value_and_grad(x: np.ndarray, delta: float):
-        pts = x.reshape(len(nodes), d)
+        pts = x.reshape(free, -1)
         val = 0.0
         grad = np.zeros_like(pts)
-        for pi, pp, ci, cp, coef in edges:
-            a = pts[pi] if pi is not None else pp
-            b = pts[ci] if ci is not None else cp
-            diff = a - b
+        for i, a, j, b, coef in terms:
+            diff = (pts[i] if i >= 0 else a) - (pts[j] if j >= 0 else b)
             r = math.sqrt(float(np.dot(diff, diff)) + delta * delta)
             val += coef * r
             g = coef * diff / r
-            if pi is not None:
-                grad[pi] += g
-            if ci is not None:
-                grad[ci] -= g
+            if i >= 0:
+                grad[i] += g
+            if j >= 0:
+                grad[j] -= g
         return val, grad.ravel()
 
-    x = np.concatenate([n.pos for n in nodes])
+    x = np.concatenate(points[first:])
     for delta in (1e-2 * scale, 1e-4 * scale, 1e-6 * scale, 1e-9 * scale):
         res = minimize(value_and_grad, x, args=(delta,), jac=True,
                        method="L-BFGS-B",
                        options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12})
         x = res.x
-    for node, pos in zip(nodes, x.reshape(len(nodes), d)):
-        node.pos = pos
+    points[first:] = x.reshape(free, -1)
 
 
-def _descend(root: _Node, source: np.ndarray, alpha: float) -> bool:
-    """Coordinate descent on junction positions; True when converged."""
-    nodes = list(root.junctions())
-    parents: dict[int, np.ndarray] = {id(root): source}
+def _descend(points: list, edges, first: int, alpha: float) -> bool:
+    """Coordinate descent on the junction positions points[first:] of a
+    plan, in place, junctions visited in plan order; True when converged."""
+    below: list[list[tuple[int, float]]] = [[] for _ in points]
+    for p, c, w in edges:
+        below[p].append((c, w))
+    stars = [(p, c, *below[c]) for p, c, _ in edges if c >= first]
     for _ in range(MAX_DESCENT_PASSES):
         moved = 0.0
-        for node in nodes:
-            parents[id(node.left)] = node.pos
-            parents[id(node.right)] = node.pos
-        for node in nodes:
-            inp = BifurcationInput(
-                o=parents[id(node)], p=node.left.pos, q=node.right.pos,
-                m_p=node.left.mass, m_q=node.right.mass, alpha=alpha)
+        for o, j, (p, m_p), (q, m_q) in stars:
+            inp = BifurcationInput(o=points[o], p=points[p], q=points[q],
+                                   m_p=m_p, m_q=m_q, alpha=alpha)
             try:
                 new_pos = solve_two_targets(inp).b_star
             except InputError:
-                new_pos = node.pos  # children coincide; leave the junction be
-            moved = max(moved, math.dist(new_pos, node.pos))
-            node.pos = new_pos
-            parents[id(node.left)] = new_pos
-            parents[id(node.right)] = new_pos
+                new_pos = points[j]  # children coincide; leave the junction be
+            moved = max(moved, math.dist(new_pos, points[j]))
+            points[j] = new_pos
         if moved < DESCENT_TOL:
             return True
     return False
-
-
-def _tree_cost(node: _Node, parent_pos, alpha: float) -> float:
-    c = node.mass ** alpha * math.dist(node.pos, parent_pos)
-    if node.leaf is None:
-        c += _tree_cost(node.left, node.pos, alpha)
-        c += _tree_cost(node.right, node.pos, alpha)
-    return c
 
 
 def enumerate_optimal(source: AtomicMeasure, targets: AtomicMeasure, alpha: float):
@@ -317,32 +254,23 @@ def enumerate_optimal(source: AtomicMeasure, targets: AtomicMeasure, alpha: floa
     m_total = source.total_mass()
     check_source_targets(src, m_total, targets)
     points = targets.points
-    masses = targets.masses
+    first = targets.n + 1
 
     best_cost = math.inf
-    best_root: _Node | None = None
+    best_plan = None
     for shape in topologies(targets.n):
-        root = _Node(shape, points, masses)
-        _joint_smooth_min(root, src, alpha)
-        if not _descend(root, src, alpha):
+        junctions, edges = _plan(shape, points, targets.masses)
+        pts = [src, *points, *junctions]
+        _joint_smooth_min(pts, edges, first, alpha)
+        if not _descend(pts, edges, first, alpha):
             logger.warning("junction descent hit the pass cap for shape %r", shape)
-        cost = _tree_cost(root, src, alpha)
+        cost = plan_cost(pts, edges, alpha)
         if cost < best_cost:
             best_cost = cost
-            best_root = root
+            best_plan = (pts[first:], edges)
 
     net = TransportNetwork(src, m_total)
-    leaf_ids = [net.add_vertex(points[i], terminal=True) for i in range(targets.n)]
-
-    def attach(node: _Node, parent_vid: int) -> None:
-        if node.leaf is not None:
-            net.add_edge(parent_vid, leaf_ids[node.leaf], node.mass)
-            return
-        vid = net.add_vertex(node.pos)
-        net.add_edge(parent_vid, vid, node.mass)
-        attach(node.left, vid)
-        attach(node.right, vid)
-
-    attach(best_root, net.root)
+    ids = [net.root] + [net.add_vertex(pt, terminal=True) for pt in points]
+    _wire(net, ids, *best_plan)
     net.canonicalize()
     return net, net.cost_m_alpha(alpha)

@@ -54,6 +54,22 @@ def test_spot_interior_solution():
     assert res.angles[2] == pytest.approx(math.pi / 2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("k", [-600, 600])
+def test_spot_at_extreme_scales_is_the_unit_result_scaled(k):
+    """Squared lengths at 2**+-600 leave the float range, so the triangle is
+    solved rescaled; scaling by a power of two is exact either way."""
+    def up(v):
+        return tuple(math.ldexp(x, k) for x in v)
+
+    ref = solve_two_targets(SPOT)
+    res = solve_two_targets(BifurcationInput(o=up(SPOT.o), p=up(SPOT.p), q=up(SPOT.q),
+                                             m_p=0.5, m_q=0.5, alpha=0.5))
+    assert res.case is ref.case is BranchCase.INTERIOR_Y
+    assert res.b_star == up(ref.b_star)
+    assert res.cost == math.ldexp(ref.cost, k)
+    assert res.v_cost == math.ldexp(ref.v_cost, k)
+
+
 def test_spot_advantage():
     assert advantage(SPOT) == pytest.approx(math.sqrt(10.0) - 3.0, abs=1e-9)
 

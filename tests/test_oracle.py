@@ -7,7 +7,7 @@ import pytest
 from branchflow.bifurcation import BifurcationInput, objective_f, solve_two_targets
 from branchflow.errors import InputError
 from branchflow.measures import AtomicMeasure
-from branchflow.oracle import enumerate_optimal, grid_minimize_f, topologies
+from branchflow.oracle import _plan, enumerate_optimal, grid_minimize_f, topologies
 
 
 def test_topology_counts():
@@ -82,14 +82,68 @@ def test_grid_minimize_shares_no_state_between_calls():
 
 
 def test_grid_minimize_degenerate_collinear():
+    # exactly collinear corners, each of O, P, Q in the middle once, in 2-d
+    # and 3-d, and a triangle with O = P; the grid and the stencil cover the
+    # segment like any other triangle
+    line2 = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
+    line3 = ((0.5, -1.0, 2.0), (1.5, 1.0, 0.0), (3.5, 5.0, -4.0))
+    triangles = [(a, b, c) for line in (line2, line3)
+                 for a, b, c in ((line[1], line[0], line[2]),
+                                 (line[0], line[1], line[2]),
+                                 (line[0], line[2], line[1]))]
+    triangles.append(((0.3, 0.4), (0.3, 0.4), (1.3, -0.6)))
+    for o, p, q in triangles:
+        for m_p, m_q, alpha in ((0.5, 0.5, 0.5), (0.2, 0.9, 0.3)):
+            inp = BifurcationInput(o=o, p=p, q=q, m_p=m_p, m_q=m_q, alpha=alpha)
+            b, val = grid_minimize_f(inp)
+            ref = solve_two_targets(inp)
+            ends = max(((u, v) for u in (o, p, q) for v in (o, p, q)),
+                       key=lambda uv: math.dist(*uv))
+            scale = math.dist(*ends)
+            # 1e-7 * scale, and never looser than the absolute 1e-7 of the
+            # first input's old check
+            assert abs(val - ref.cost) <= 1e-7 * min(scale, 1.0), (o, p, q)
+            assert objective_f(b, inp) == pytest.approx(val, rel=1e-12)
+            # b lies on the segment between the two farthest corners
+            a, c = np.asarray(ends[0]), np.asarray(ends[1])
+            t = float(np.dot(b - a, c - a)) / scale ** 2
+            assert -1e-12 <= t <= 1.0 + 1e-12
+            assert np.linalg.norm(b - (a + t * (c - a))) <= 1e-12 * scale
     inp = BifurcationInput(o=(0.0, 0.0), p=(1.0, 0.0), q=(2.0, 0.0),
                            m_p=0.5, m_q=0.5, alpha=0.5)
-    b, val = grid_minimize_f(inp)
-    ref = solve_two_targets(inp)
-    assert val == pytest.approx(ref.cost, abs=1e-7)
-    assert objective_f(b, inp) == pytest.approx(val, rel=1e-12)
     with pytest.raises(ValueError):
         grid_minimize_f(inp, resolution=1)
+
+
+def test_plan_of_a_balanced_shape():
+    points = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 4.0], [6.0, 8.0]])
+    masses = np.array([1.0, 2.0, 4.0, 8.0])
+    junctions, edges = _plan(((0, 1), (2, 3)), points, masses)
+    # junctions in preorder: the root's junction 5, then 6 over (0, 1) and
+    # 7 over (2, 3), each at the midpoint of its children's starts
+    assert [tuple(j) for j in junctions] == [(2.0, 3.0), (1.0, 0.0), (3.0, 6.0)]
+    assert edges == [(0, 5, 15.0), (5, 6, 3.0), (6, 1, 1.0), (6, 2, 2.0),
+                     (5, 7, 12.0), (7, 3, 4.0), (7, 4, 8.0)]
+
+
+def test_plan_flow_balances_for_every_shape():
+    rng = np.random.default_rng(21)
+    for n in range(1, 5):
+        points = rng.uniform(0.0, 1.0, size=(n, 2))
+        masses = rng.uniform(0.1, 1.0, size=n)
+        for shape in topologies(n):
+            junctions, edges = _plan(shape, points, masses)
+            assert len(junctions) == max(n - 1, 0)
+            inflow = {c: w for _, c, w in edges}
+            outflow: dict[int, list[float]] = {}
+            for p, c, w in edges:
+                outflow.setdefault(p, []).append(w)
+            assert sorted(inflow) == list(range(1, 2 * n))
+            for j in range(n + 1, 2 * n):
+                assert len(outflow[j]) == 2
+                assert inflow[j] == outflow[j][0] + outflow[j][1]
+            assert len(outflow[0]) == 1
+            assert outflow[0][0] == pytest.approx(float(masses.sum()), rel=1e-15)
 
 
 def test_enumerate_optimal_two_targets_matches_closed_form():

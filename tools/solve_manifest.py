@@ -19,7 +19,7 @@ algorithm change lists the per-instance costs.
 
 The manifest is JSON with sorted keys: the command count, the commands that
 failed (the exit status is 1 when any did), each file's sha256 and each
-network's cost.  Two manifests compare with `diff`.
+network's cost.  `tools/compare_manifests.py OLD NEW` compares two of them.
 """
 from __future__ import annotations
 
