@@ -49,7 +49,14 @@ class BalanceReport:
 
 class TransportNetwork:
     """Vertex points are tuples of floats, stored once; each vertex's
-    children are kept as a sorted list of ids."""
+    children are kept as a sorted list of ids.
+
+    Every vertex carries a star stamp drawn from a monotone edit clock.
+    add_edge, remove_edge and set_weight restamp both ends of the edge, since
+    the edge lies in the star of each; restore_from restamps every vertex.
+    So while star_stamp(u) is unchanged, so are u's parent, inflow, children
+    and their inflows, and (an id naming one point) the whole star.
+    """
 
     def __init__(self, root_point, source_mass: float):
         root_point = tuple(map(float, root_point))
@@ -60,16 +67,19 @@ class TransportNetwork:
         self._weight: dict[int, float] = {}
         self._children: dict[int, list[int]] = {}
         self._terminal: set[int] = set()
+        self._stamp: dict[int, int] = {}
+        self._clock = 0
         self._next_id = 0
-        self.root = self._new_vertex(root_point)
+        self.root = self._new_vertex(root_point, 0)
 
     # ---------------- structure editing ----------------
 
-    def _new_vertex(self, point: tuple[float, ...]) -> int:
-        vid = self._next_id
-        self._next_id += 1
+    def _new_vertex(self, point: tuple[float, ...], vid: int) -> int:
         self._points[vid] = point
         self._children[vid] = []
+        self._clock += 1
+        self._stamp[vid] = self._clock
+        self._next_id = max(self._next_id, vid + 1)
         return vid
 
     def add_vertex(self, point, terminal: bool = False,
@@ -78,14 +88,12 @@ class TransportNetwork:
         if len(point) != self.dimension:
             raise ValueError(f"point must have dimension {self.dimension}")
         if vid is None:
-            vid = self._new_vertex(point)
+            vid = self._next_id
         else:
             vid = int(vid)
             if vid in self._points:
                 raise ValueError(f"vertex id {vid} already exists")
-            self._points[vid] = point
-            self._children[vid] = []
-            self._next_id = max(self._next_id, vid + 1)
+        self._new_vertex(point, vid)
         if terminal:
             self._terminal.add(vid)
         return vid
@@ -102,16 +110,23 @@ class TransportNetwork:
         self._parent[child] = parent
         self._weight[child] = float(weight)
         bisect.insort(self._children[parent], child)
+        self._clock = clock = self._clock + 1
+        self._stamp[parent] = self._stamp[child] = clock
 
     def remove_edge(self, child: int) -> None:
         parent = self._parent.pop(child)
         self._weight.pop(child)
         self._children[parent].remove(child)
+        self._clock = clock = self._clock + 1
+        self._stamp[parent] = self._stamp[child] = clock
 
     def set_weight(self, child: int, weight: float) -> None:
-        if child not in self._parent:
+        parent = self._parent.get(child)
+        if parent is None:
             raise KeyError(f"vertex {child} has no parent edge")
         self._weight[child] = float(weight)
+        self._clock = clock = self._clock + 1
+        self._stamp[parent] = self._stamp[child] = clock
 
     def remove_vertex(self, vid: int) -> None:
         if vid == self.root:
@@ -120,6 +135,7 @@ class TransportNetwork:
             raise InvariantViolation(f"vertex {vid} is not isolated", network=self)
         del self._points[vid]
         del self._children[vid]
+        del self._stamp[vid]
         self._terminal.discard(vid)
 
     # ---------------- queries ----------------
@@ -141,6 +157,11 @@ class TransportNetwork:
 
     def is_terminal(self, vid: int) -> bool:
         return vid in self._terminal
+
+    def star_stamp(self, vid: int) -> int:
+        """The clock reading at the last edit of vid's star (or at vid's
+        creation); equal readings mean an unchanged star."""
+        return self._stamp[vid]
 
     def terminals(self) -> list[int]:
         return sorted(self._terminal)
@@ -228,12 +249,18 @@ class TransportNetwork:
         dup._weight = dict(self._weight)
         dup._children = {v: c[:] for v, c in self._children.items()}
         dup._terminal = set(self._terminal)
+        dup._stamp = dict(self._stamp)
+        dup._clock = self._clock
         dup._next_id = self._next_id
         dup.root = self.root
         return dup
 
     def restore_from(self, other: "TransportNetwork") -> None:
-        """Overwrite this network's state with a snapshot taken via copy()."""
+        """Overwrite this network's state with a snapshot taken via copy().
+
+        Every vertex gets a stamp newer than any this network or the
+        snapshot handed out before: ids freed since the snapshot may come
+        back with other points, so no earlier stamp may match."""
         self.dimension = other.dimension
         self.source_mass = other.source_mass
         self._points = dict(other._points)
@@ -241,6 +268,8 @@ class TransportNetwork:
         self._weight = dict(other._weight)
         self._children = {v: c[:] for v, c in other._children.items()}
         self._terminal = set(other._terminal)
+        self._clock = max(self._clock, other._clock) + 1
+        self._stamp = dict.fromkeys(self._points, self._clock)
         self._next_id = other._next_id
         self.root = other.root
 
@@ -456,7 +485,7 @@ class TransportNetwork:
                 self.add_edge(p_gone, keep, w)
         elif p_gone is not None and p_gone == p_keep:
             # siblings under one parent: fold the parallel edge weights
-            self._weight[keep] += self._weight[gone]
+            self.set_weight(keep, self._weight[keep] + self._weight[gone])
             self.remove_edge(gone)
         elif p_gone is None:
             pass  # parentless helper: only its children move over

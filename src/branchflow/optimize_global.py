@@ -27,6 +27,7 @@ until a round stops paying.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,35 +90,37 @@ def subdivide_long_edges(net: TransportNetwork, config: OptimizeConfig) -> list[
     return created
 
 
-def _extra_costs(net: TransportNetwork, u: int, alpha: float) -> dict[int, float]:
-    """c(v) for every vertex reachable from the root: the extra cost of
-    re-inserting edge_mass(u) along v's root path after removing it along
-    u's root path."""
-    m_u = net.edge_mass(u)
-    on_path = set(net.path_to_root(u)[1:])
-    c: dict[int, float] = {net.root: 0.0}
-    queue = [net.root]
-    while queue:
-        nxt = []
-        for v in queue:
-            base = c[v]
-            for child in net.children(v):
-                w = net.edge_mass(child)
-                w_res = max(w - m_u, 0.0) if child in on_path else w
-                c[child] = base + net.edge_length(child) * (
-                    (w_res + m_u) ** alpha - w_res ** alpha)
-                nxt.append(child)
-        queue = nxt
-    return c
+def _reparent_terms(net: TransportNetwork, u: int, alpha: float
+                    ) -> tuple[float, float, float, Callable[[int], float | None]]:
+    """S, sigma = S / m_u**alpha, m_u**alpha and c for moving u.
 
-
-def _reparent_terms(net: TransportNetwork, u: int,
-                    alpha: float) -> tuple[float, float, float, dict[int, float]]:
-    """S, sigma = S / m_u**alpha, m_u**alpha and the c(v) table for moving u."""
+    c(v) is the extra cost of re-inserting edge_mass(u) along v's root path
+    after removing it along u's, or None when v is not connected to the
+    root.  It is computed on demand: a call walks up to the nearest vertex
+    already known and adds the edge terms root-down, memoizing each prefix,
+    so only the root paths of the vertices asked about are read."""
     m_u = net.edge_mass(u)
     ma = m_u ** alpha
     s_val = potential(net, u, m_u, alpha)
-    return s_val, s_val / ma, ma, _extra_costs(net, u, alpha)
+    on_path = set(net.path_to_root(u)[1:])
+    known = {net.root: 0.0}
+
+    def c(v: int) -> float | None:
+        path = []
+        while v not in known:
+            path.append(v)
+            v = net.parent(v)
+            if v is None:
+                return None
+        total = known[v]
+        for x in reversed(path):
+            w = net.edge_mass(x)
+            w_res = max(w - m_u, 0.0) if x in on_path else w
+            total = known[x] = total + net.edge_length(x) * (
+                (w_res + m_u) ** alpha - w_res ** alpha)
+        return total
+
+    return s_val, s_val / ma, ma, c
 
 
 def predicted_gain(net: TransportNetwork, u: int, v: int, alpha: float) -> float:
@@ -125,7 +128,10 @@ def predicted_gain(net: TransportNetwork, u: int, v: int, alpha: float) -> float
     if net.is_descendant(v, u):
         raise ValueError(f"vertex {v} lies inside the subtree of {u}")
     s_val, _, ma, c = _reparent_terms(net, u, alpha)
-    return s_val - (c[v] + math.dist(net.point(v), net.point(u)) * ma)
+    c_v = c(v)
+    if c_v is None:
+        raise ValueError(f"vertex {v} is not connected to the root")
+    return s_val - (c_v + math.dist(net.point(v), net.point(u)) * ma)
 
 
 def evaluate_reparent(net: TransportNetwork, u: int, alpha: float,
@@ -134,25 +140,27 @@ def evaluate_reparent(net: TransportNetwork, u: int, alpha: float,
 
     The candidates are the vertices outside u's subtree, other than its
     parent and reachable from the root, in the closed ball of radius sigma
-    around u; the lowest id wins a tie."""
+    around u; the lowest id wins a tie.  c(v) is read for those alone."""
     if u == net.root or net.parent(u) is None:
         return None
-    s_val, sigma, ma, c_all = _reparent_terms(net, u, alpha)
+    s_val, sigma, ma, c = _reparent_terms(net, u, alpha)
     blocked = set(net.subtree(u))
     parent = net.parent(u)
     pu = net.point(u)
+    radius = sigma * (1.0 + 1e-12)
 
     best_v = None
     best_t = math.inf
     for v in net.vertices():
         if v in blocked or v == parent:
             continue
-        if v not in c_all:
-            continue  # unreachable from the root; not a valid attachment
         dist = math.dist(net.point(v), pu)
-        if dist > sigma * (1.0 + 1e-12):
+        if dist > radius:
             continue
-        t_val = c_all[v] + dist * ma
+        c_v = c(v)
+        if c_v is None:
+            continue  # unreachable from the root; not a valid attachment
+        t_val = c_v + dist * ma
         if t_val < best_t:
             best_t = t_val
             best_v = v

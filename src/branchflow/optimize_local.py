@@ -85,32 +85,24 @@ def local_sweep(net: TransportNetwork, alpha: float, config: OptimizeConfig,
 
     Returns the final cost.  Sweeps visit vertices in breadth-first order
     from the root; vertices spliced away mid-sweep are skipped, and so is a
-    vertex whose star (parent id, inflow, child ids and their inflows) is
-    unchanged since improve_vertex last rejected it in this call.  Such a
-    visit would be rejected again, because an id names one fixed point for
-    the whole call, so the result is that of visiting every vertex.
-    on_sweep may edit edges but must not call restore_from.
+    vertex whose star_stamp is unchanged since improve_vertex last rejected
+    it in this call.  Such a visit would be rejected again: an unchanged
+    stamp means an unchanged star, and is_terminal(u), source_mass, alpha
+    and eps_improve are fixed here, so the result is that of visiting every
+    vertex.  on_sweep may edit edges and may call restore_from.
     """
-    # The star key leaves out points: a vertex's point is fixed at creation,
-    # and within this call ids only grow (only restore_from rewinds
-    # _next_id), so an id names one point throughout.  is_terminal(u),
-    # source_mass, alpha and eps_improve are fixed here too.
-    rejected: dict[int, tuple] = {}
+    rejected: dict[int, int] = {}
     cost = net.cost_m_alpha(alpha)
     for _ in range(MAX_LOCAL_SWEEPS):
         improved = False
         for u in net.bfs_order():
-            if not net.has_vertex(u):
+            if not net.has_vertex(u) or rejected.get(u) == net.star_stamp(u):
                 continue
-            key = (net.parent(u), net.edge_mass(u),
-                   tuple((c, net.edge_mass(c)) for c in net.children(u)))
-            if rejected.get(u) == key:
-                continue
+            # an accepted move restamps u, so its old entry cannot match
             if improve_vertex(net, u, alpha, eps_improve, trace=trace):
                 improved = True
-                rejected.pop(u, None)
             else:
-                rejected[u] = key
+                rejected[u] = net.star_stamp(u)
         new_cost = net.cost_m_alpha(alpha)
         if on_sweep is not None:
             on_sweep(net)

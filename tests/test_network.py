@@ -120,6 +120,52 @@ def test_copy_and_restore_round_trip():
     assert snap.copy().edge_mass(a) == pytest.approx(1.0)
 
 
+def test_edits_restamp_exactly_the_touched_stars():
+    net, a, b, c = chain_net()
+    d = net.add_vertex((3.0, 0.0), terminal=True)
+    ids = net.vertices()
+
+    def stamps():
+        return {v: net.star_stamp(v) for v in ids}
+
+    seen = set(stamps().values())
+    for edit, ends in ((lambda: net.set_weight(b, 0.25), {a, b}),
+                       (lambda: net.remove_edge(c), {a, c}),
+                       (lambda: net.add_edge(b, d, 0.25), {b, d}),
+                       (lambda: net.add_edge(net.root, c, 0.5), {net.root, c})):
+        before = stamps()
+        edit()
+        after = stamps()
+        assert {v for v in ids if after[v] != before[v]} == ends
+        seen |= set(after.values())
+
+    snap = net.copy()
+    assert {v: snap.star_stamp(v) for v in ids} == stamps()
+    net.remove_edge(d)
+    seen |= set(stamps().values())
+    net.remove_vertex(d)
+    with pytest.raises(KeyError):
+        net.star_stamp(d)
+    net.restore_from(snap)
+    assert set(net.vertices()) == set(ids)
+    assert not seen & set(stamps().values())
+
+
+def test_sibling_merge_restamps_the_kept_vertex():
+    # a helper leaf coincides with its sibling target: the target keeps both
+    # weights, and that weight change must show in its stamp
+    net = TransportNetwork((0.0, 0.0), 1.0)
+    helper = net.add_vertex((1.0, 0.0))
+    target = net.add_vertex((1.0, 0.0), terminal=True)
+    net.add_edge(net.root, helper, 0.25)
+    net.add_edge(net.root, target, 0.75)
+    before = net.star_stamp(target)
+    net.canonicalize()
+    assert not net.has_vertex(helper)
+    assert net.edge_mass(target) == 1.0
+    assert net.star_stamp(target) != before
+
+
 def test_canonicalize_prunes_and_merges():
     net, a, b, c = chain_net()
     d = net.add_vertex((1.0, 0.0))  # coincides with helper a

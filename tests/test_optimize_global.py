@@ -202,6 +202,120 @@ def test_predicted_gain_random_rewires():
         checked += 1
 
 
+def bfs_extra_costs(net, u, alpha):
+    """Reference c(v) table: one breadth-first pass over the whole tree from
+    the root, c[child] = c[parent] + len * ((w~ + m)**a - w~**a), with the
+    residual weight w~ = max(w - m, 0) on u's root path."""
+    m_u = net.edge_mass(u)
+    on_path = set(net.path_to_root(u)[1:])
+    c = {net.root: 0.0}
+    queue = [net.root]
+    while queue:
+        nxt = []
+        for v in queue:
+            for child in net.children(v):
+                w = net.edge_mass(child)
+                w_res = max(w - m_u, 0.0) if child in on_path else w
+                c[child] = c[v] + net.edge_length(child) * (
+                    (w_res + m_u) ** alpha - w_res ** alpha)
+                nxt.append(child)
+        queue = nxt
+    return c
+
+
+def _subdivision_net(dim, alpha, seed, n=20):
+    rng = np.random.default_rng(seed)
+    tg = AtomicMeasure(rng.uniform(0.0, 1.0, size=(n, dim)), rng.uniform(0.1, 1.0, size=n))
+    net = build_subdivision(np.full(dim, 0.5), float(tg.masses.sum()), tg, alpha)
+    subdivide_long_edges(net, OptimizeConfig(subdivide_factor=1.0))
+    return net
+
+
+@pytest.mark.parametrize("dim, alpha", [(2, 0.5), (2, 0.75), (3, 0.5), (3, 0.75)])
+def test_predicted_gain_matches_the_full_tree_table_bitwise(dim, alpha):
+    net = _subdivision_net(dim, alpha, 40 + dim)
+    pairs = 0
+    for u in net.vertices():
+        if u == net.root:
+            continue
+        m_u = net.edge_mass(u)
+        ma = m_u ** alpha
+        s_val = potential(net, u, m_u, alpha)
+        c = bfs_extra_costs(net, u, alpha)
+        for v in net.vertices():
+            if net.is_descendant(v, u):
+                continue
+            want = s_val - (c[v] + math.dist(net.point(v), net.point(u)) * ma)
+            assert predicted_gain(net, u, v, alpha) == want
+            pairs += 1
+    assert pairs > 300
+
+
+@pytest.mark.parametrize("dim, alpha", [(2, 0.5), (3, 0.75)])
+def test_evaluate_reparent_ignores_a_detached_subtree(dim, alpha):
+    net = _subdivision_net(dim, alpha, 50 + dim)
+    cut = max((v for v in net.vertices() if v != net.root),
+              key=lambda v: (len(net.subtree(v)), -v))
+    detached = set(net.subtree(cut))
+    assert len(detached) > 2
+    net.remove_edge(cut)
+    checked = 0
+    for u in net.bfs_order():
+        if u == net.root:
+            continue
+        c = bfs_extra_costs(net, u, alpha)
+        m_u = net.edge_mass(u)
+        ma = m_u ** alpha
+        s_val = potential(net, u, m_u, alpha)
+        sigma = s_val / ma
+        best_v, best_t = None, math.inf
+        for v in net.vertices():
+            if v not in c or net.is_descendant(v, u) or v == net.parent(u):
+                continue
+            dist = math.dist(net.point(v), net.point(u))
+            if dist <= sigma * (1.0 + 1e-12) and c[v] + dist * ma < best_t:
+                best_v, best_t = v, c[v] + dist * ma
+        proposal = evaluate_reparent(net, u, alpha, -math.inf)
+        if best_v is None:
+            assert proposal is None
+            continue
+        assert proposal.new_parent not in detached
+        assert (proposal.new_parent, proposal.gain) == (best_v, s_val - best_t)
+        checked += 1
+    assert checked > 5
+    with pytest.raises(ValueError):
+        predicted_gain(net, net.bfs_order()[1], cut, alpha)
+
+
+def test_evaluate_reparent_reads_only_candidate_root_paths(monkeypatch):
+    net = _subdivision_net(2, 0.5, 60, n=30)
+    read = set()
+    real_length = TransportNetwork.edge_length
+
+    def edge_length(self, child):
+        read.add(child)
+        return real_length(self, child)
+
+    monkeypatch.setattr(TransportNetwork, "edge_length", edge_length)
+    narrow = 0
+    for u in net.vertices():
+        if u == net.root:
+            continue
+        m_u = net.edge_mass(u)
+        sigma = potential(net, u, m_u, 0.5) / m_u ** 0.5
+        allowed = set(net.path_to_root(u))
+        for v in net.vertices():
+            if net.is_descendant(v, u) or v == net.parent(u):
+                continue
+            if math.dist(net.point(v), net.point(u)) <= sigma * (1.0 + 1e-12):
+                allowed.update(net.path_to_root(v))
+        read.clear()
+        evaluate_reparent(net, u, 0.5, 1e-9)
+        assert read <= allowed, (u, sorted(read - allowed))
+        narrow += len(allowed) < net.n_vertices()
+    assert narrow > 10
+
+
 def test_rewire_preserves_balance():
     net, h, s = reparent_scenario()
     rewire(net, s, h)

@@ -330,3 +330,41 @@ def test_edited_rejected_star_is_scored_again(monkeypatch, edit):
 
     _, second, _ = _two_sweeps(monkeypatch, start.copy(), alpha, eps, edit=change)
     assert u in {v for v, _ in second}
+
+
+def test_restored_snapshot_is_scored_in_full(monkeypatch):
+    # on_sweep rewinds to a snapshot taken before the first sweep: ids freed
+    # since then may return with other points, so no earlier rejection holds
+    alpha = 0.5
+    net, eps = _random_subdivision(2, alpha, 33, n=40)
+    snap = net.copy()
+    monkeypatch.setattr(optimize_local, "MAX_LOCAL_SWEEPS", 2)
+    calls = [[]]    # (vertex, accepted) per improve_vertex call, per sweep
+    reached = [[]]  # vertices each sweep found present on its visit
+
+    def spy(net_, u, *args, **kwargs):
+        ok = improve_vertex(net_, u, *args, **kwargs)
+        calls[-1].append((u, ok))
+        return ok
+
+    real_bfs = net.bfs_order
+
+    def bfs_order():
+        for u in real_bfs():
+            if net.has_vertex(u):
+                reached[-1].append(u)
+            yield u
+
+    def on_sweep(net_):
+        if len(calls) == 1:
+            net_.restore_from(snap)
+        calls.append([])
+        reached.append([])
+
+    monkeypatch.setattr(optimize_local, "improve_vertex", spy)
+    net.bfs_order = bfs_order
+    local_sweep(net, alpha, OptimizeConfig(), eps, on_sweep=on_sweep)
+    assert len(calls) == 3, "the first sweep stalled"
+    rejected_first = {u for u, ok in calls[0] if not ok}
+    assert rejected_first & set(reached[1])
+    assert [u for u, _ in calls[1]] == reached[1]
