@@ -28,8 +28,8 @@ class OptimizeConfig:
             raise ValueError(f"unknown initializer {self.initializer!r}")
         if not (0 < self.rel_tol < math.inf and 0 < self.subdivide_factor < math.inf):
             raise ValueError("tolerances and factors must be finite and positive")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+        if type(self.max_rounds) is not int or self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
 
 
 def mass_tolerance(total_mass: float) -> float:

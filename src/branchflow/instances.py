@@ -71,11 +71,18 @@ def generate_points(kind: str, count: int, region: dict | None,
         raise InputError(f"unknown generator kind {kind!r}; expected one of {GENERATORS}")
     if count < 1:
         raise InputError(f"generator count must be >= 1, got {count}")
+    if region is not None and not isinstance(region, dict):
+        raise InputError(f"generator region must be an object, got {region!r}")
     region = dict(region or {})
 
+    def coords(key: str, default: float) -> np.ndarray:
+        if key not in region:
+            return np.array([default, default])
+        return _point(region.pop(key), f"region.{key}")
+
     if kind == "uniform-square":
-        low = np.asarray(region.pop("low", (0.0, 0.0)), dtype=float)
-        high = np.asarray(region.pop("high", (1.0, 1.0)), dtype=float)
+        low = coords("low", 0.0)
+        high = coords("high", 1.0)
         if region:
             raise InputError(f"unexpected region keys {sorted(region)} for {kind}")
         if low.shape != high.shape or low.ndim != 1 or low.shape[0] < 2:
@@ -85,8 +92,8 @@ def generate_points(kind: str, count: int, region: dict | None,
         u = _rng(seed).uniform(size=(count, low.shape[0]))
         return low + u * (high - low)
 
-    center = np.asarray(region.pop("center", (0.0, 0.0)), dtype=float)
-    radius = float(region.pop("radius", 1.0))
+    center = coords("center", 0.0)
+    radius = _number(region.pop("radius", 1.0), "region.radius")
     if region:
         raise InputError(f"unexpected region keys {sorted(region)} for {kind}")
     if center.shape != (2,):

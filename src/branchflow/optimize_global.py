@@ -197,26 +197,18 @@ def rewire(net: TransportNetwork, u: int, new_parent: int) -> None:
     for vid in dead:
         net.remove_edge(vid)
     net.add_edge(new_parent, u, m_u)
-    # drop helpers stranded by the dead chain
-    stale = True
-    while stale:
-        stale = False
-        for vid in net.vertices():
-            if vid == net.root or net.is_terminal(vid):
-                continue
-            if net.parent(vid) is None and not net.children(vid):
-                net.remove_vertex(vid)
-                stale = True
+    # a dead edge is the only one lost, and dropping an isolated helper
+    # strands no other, so the stranded helpers are the childless dead ones
+    for vid in dead:
+        if not net.is_terminal(vid) and not net.children(vid):
+            net.remove_vertex(vid)
 
 
-def reparent_pass(net: TransportNetwork, alpha: float, eps_improve: float,
-                  trace: list | None = None) -> bool:
+def reparent_pass(net: TransportNetwork, alpha: float, eps_improve: float) -> bool:
     """One breadth-first pass of evaluate-and-apply over all vertices.
 
     Each proposal's gain S - T(v*) is the exact cost drop, so it is applied
-    by rewire with no re-check; when a trace list is given, the full cost is
-    recomputed before and after each move and recorded there.  Returns
-    whether any move was applied."""
+    by rewire with no re-check.  Returns whether any move was applied."""
     accepted = False
     for u in net.bfs_order():
         if not net.has_vertex(u) or u == net.root or net.parent(u) is None:
@@ -224,10 +216,7 @@ def reparent_pass(net: TransportNetwork, alpha: float, eps_improve: float,
         proposal = evaluate_reparent(net, u, alpha, eps_improve)
         if proposal is None:
             continue
-        cost_before = net.cost_m_alpha(alpha) if trace is not None else None
         rewire(net, u, proposal.new_parent)
-        if trace is not None:
-            trace.append(("reparent", u, cost_before, net.cost_m_alpha(alpha)))
         accepted = True
     return accepted
 
@@ -255,8 +244,7 @@ def _check_result(net: TransportNetwork, source: AtomicMeasure,
 
 
 def global_optimize(source: AtomicMeasure, targets: AtomicMeasure, alpha: float,
-                    config: OptimizeConfig | None = None, trace: list | None = None,
-                    observer=None) -> TransportNetwork:
+                    config: OptimizeConfig | None = None) -> TransportNetwork:
     """Full pipeline: construct, then loop local sweeps, edge subdivision and
     reparent passes until a round stops paying; finish canonical.  Raises
     InvariantViolation when the result is not one tree that delivers every
@@ -281,43 +269,22 @@ def global_optimize(source: AtomicMeasure, targets: AtomicMeasure, alpha: float,
     all_points = np.vstack([source.points, targets.points])
     eps_improve = cost_tolerance(diameter(all_points), src_mass, alpha)
 
-    def notify(stage: str) -> None:
-        if observer is not None:
-            observer(stage, net)
-
-    notify("init")
     cost = net.cost_m_alpha(alpha)
-    if trace is not None:
-        trace.append(("init", None, cost, cost))
-
     for _ in range(config.max_rounds):
         round_snapshot = net.copy()
         round_start = cost
-        local_sweep(net, alpha, config, eps_improve=eps_improve, trace=trace,
-                    on_sweep=lambda n: notify("local_sweep"))
+        local_sweep(net, alpha, config, eps_improve=eps_improve)
         if alpha != 1.0:
             subdivide_long_edges(net, config)
-            notify("subdivide")
-            reparent_pass(net, alpha, eps_improve, trace=trace)
-            notify("reparent")
+            reparent_pass(net, alpha, eps_improve)
         cost = net.cost_m_alpha(alpha)
         improvement = round_start - cost
         if improvement <= 0.0:
             net.restore_from(round_snapshot)
-            cost = round_start
-            notify("round")
-            if trace is not None:
-                trace.append(("round", None, round_start, cost))
             break
-        notify("round")
-        if trace is not None:
-            trace.append(("round", None, round_start, cost))
         if improvement <= config.rel_tol * max(abs(round_start), 1e-300):
             break
 
     net.canonicalize(collapse_passthrough=True)
     _check_result(net, source, targets)
-    notify("final")
-    if trace is not None:
-        trace.append(("final", None, cost, net.cost_m_alpha(alpha)))
     return net

@@ -42,16 +42,14 @@ def _star_pool(net: TransportNetwork, u: int) -> list[tuple[int, tuple, float]] 
     return pool
 
 
-def improve_vertex(net: TransportNetwork, u: int, alpha: float,
-                   eps_improve: float, trace: list | None = None) -> bool:
+def improve_vertex(net: TransportNetwork, u: int, alpha: float, eps_improve: float) -> bool:
     """Rebuild u's star and splice the result in when strictly cheaper.
 
     The greedy plan from parent(u) to the star pool is scored on plain
     points by plan_cost, and accepted when it undercuts star_cost(net, u) by
     more than eps_improve.  That difference is the exact change of the full
     network cost, so the old star is torn out and the plan wired in as
-    scored, with no re-check.  When a trace list is given, the full cost is
-    recomputed before and after the move and recorded there.
+    scored, with no re-check.
     """
     if u == net.root or not net.children(u) or net.parent(u) is None:
         return False
@@ -65,21 +63,17 @@ def improve_vertex(net: TransportNetwork, u: int, alpha: float,
     if star_cost(net, u, alpha) - plan_cost(points, edges, alpha) <= eps_improve:
         return False
 
-    cost_before = net.cost_m_alpha(alpha) if trace is not None else None
     net.remove_edge(u)
     for child in list(net.children(u)):
         net.remove_edge(child)
     if not net.is_terminal(u):
         net.remove_vertex(u)
     _wire(net, [parent] + [vid for vid, _, _ in pool], junctions, edges)
-    if trace is not None:
-        trace.append(("local", u, cost_before, net.cost_m_alpha(alpha)))
     return True
 
 
 def local_sweep(net: TransportNetwork, alpha: float, config: OptimizeConfig,
-                eps_improve: float, trace: list | None = None,
-                on_sweep=None) -> float:
+                eps_improve: float, on_sweep=None) -> float:
     """Sweep improve_vertex over the tree until a full pass stops paying,
     at most MAX_LOCAL_SWEEPS times.
 
@@ -99,7 +93,7 @@ def local_sweep(net: TransportNetwork, alpha: float, config: OptimizeConfig,
             if not net.has_vertex(u) or rejected.get(u) == net.star_stamp(u):
                 continue
             # an accepted move restamps u, so its old entry cannot match
-            if improve_vertex(net, u, alpha, eps_improve, trace=trace):
+            if improve_vertex(net, u, alpha, eps_improve):
                 improved = True
             else:
                 rejected[u] = net.star_stamp(u)

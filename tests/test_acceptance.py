@@ -127,8 +127,9 @@ def test_criterion_03_alpha_one_degeneration():
     _report(3, f"200 V-shape cases, star networks exact to {worst:.2e}")
 
 
-def test_criterion_04_conservation_at_every_stage():
-    """Balance, acyclicity and positive weights hold after every stage."""
+def test_criterion_04_conservation_at_every_stage(recorder):
+    """Balance, acyclicity and positive weights hold after every stage:
+    init, every sweep, subdivision, reparent pass and rollback, and final."""
     rng = np.random.default_rng(44)
     stages_seen = 0
     worst_residual = 0.0
@@ -148,7 +149,7 @@ def test_criterion_04_conservation_at_every_stage():
             reach = len(net.bfs_order()) == net.n_vertices()
             checks.append((stage, rep.max_abs(), problems, weights_ok, reach))
 
-        global_optimize(src, tg, alpha, observer=inspect)
+        recorder.solve(src, tg, alpha, inspect=inspect)
         assert checks and checks[0][0] == "init" and checks[-1][0] == "final"
         for stage, residual, problems, weights_ok, reach in checks:
             assert residual <= 1e-9 * 1.0, (stage, residual)
@@ -159,11 +160,12 @@ def test_criterion_04_conservation_at_every_stage():
     _report(4, f"{stages_seen} stage checkpoints, worst residual {worst_residual:.2e}")
 
 
-def test_criterion_05_monotone_cost_sequence():
+def test_criterion_05_monotone_cost_sequence(recorder):
     """Recorded costs never increase; accepted moves beat the threshold.
 
-    Every before/after pair in the trace is a full fresh cost evaluation of
-    the network, so this checks the moves themselves, not running totals."""
+    Every before/after pair the recorder takes is a full fresh cost
+    evaluation of the network, so this checks the moves themselves, not
+    running totals."""
     rng = np.random.default_rng(45)
     moves_checked = 0
     for alpha in (0.5, 0.75, 0.9):
@@ -174,10 +176,10 @@ def test_criterion_05_monotone_cost_sequence():
         src_pt = rng.uniform(0.0, 1.0, size=2)
         src = AtomicMeasure([src_pt], [1.0])
         eps_f = cost_tolerance(diameter(np.vstack([[src_pt], pts])), 1.0, alpha)
-        trace = []
-        net = global_optimize(src, tg, alpha, trace=trace)
+        net = recorder.solve(src, tg, alpha)
+        trace = recorder.events
         # chronological network costs: moves record their own before/after,
-        # round and final entries summarize (start, end) checkpoints
+        # checkpoints the cost at that point
         seq = [trace[0][2]]
         for stage, _, before, after in trace:
             if stage in ("local", "reparent"):

@@ -285,6 +285,11 @@ def _generated(seed, count):
             "generator": {"kind": "uniform-square", "count": count}}
 
 
+def _region(kind, region):
+    return {"alpha": 0.5, "seed": 1, "source": SPOT["source"],
+            "generator": {"kind": kind, "count": 3, "region": region}}
+
+
 @pytest.mark.parametrize("doc", [
     {**SPOT, "alpha": "abc"},
     {**SPOT, "alpha": [0.5]},
@@ -300,6 +305,11 @@ def _generated(seed, count):
     _generated(True, 3),
     _generated(1, True),
     _generated(-1, 3),
+    _region("uniform-square", [1, 2]),
+    _region("uniform-square", {"low": "ab"}),
+    _region("uniform-square", {"low": [False, False]}),
+    _region("circle", {"radius": "x"}),
+    _region("circle", {"center": [0, "a"]}),
 ])
 def test_malformed_numbers_exit_2(capsys, tmp_path, doc):
     path = tmp_path / "bad.json"

@@ -327,10 +327,28 @@ def test_rewire_preserves_balance():
     assert net.validate_structure() == []
 
 
-def test_reparent_pass_converges():
+def test_rewire_drops_the_helpers_it_strands():
+    net = TransportNetwork((0.0, 0.0), 1.0)
+    h1 = net.add_vertex((1.0, 0.0))
+    h2 = net.add_vertex((2.0, 0.0))
+    t = net.add_vertex((3.0, 0.0), terminal=True)
+    b = net.add_vertex((3.0, 1.0), terminal=True)
+    net.add_edge(net.root, h1, 0.5)
+    net.add_edge(h1, h2, 0.5)
+    net.add_edge(h2, t, 0.5)
+    net.add_edge(net.root, b, 0.5)
+    rewire(net, t, b)
+    assert net.parent(t) == b and net.edge_mass(b) == 1.0
+    assert not net.has_vertex(h1) and not net.has_vertex(h2)
+    assert net.vertices() == sorted([net.root, t, b])
+    assert net.validate_structure() == []
+
+
+def test_reparent_pass_converges(recorder):
     net, h, s = reparent_scenario()
-    trace = []
-    assert reparent_pass(net, 0.5, 1e-9, trace=trace)
+    recorder.start(0.5)
+    assert reparent_pass(net, 0.5, 1e-9)
+    trace = list(recorder.events)
     assert any(entry[0] == "reparent" for entry in trace)
     for _, _, before, after in trace:
         assert before - after > 1e-9
@@ -365,18 +383,18 @@ def test_global_optimize_alpha_one_star():
     assert net.cost_m_alpha(1.0) == pytest.approx(want, abs=1e-9)
 
 
-def test_global_optimize_observer_and_trace():
+def test_global_optimize_checkpoints_and_moves(recorder):
     rng = np.random.default_rng(14)
     pts = rng.uniform(0.0, 1.0, size=(30, 2))
     tg = AtomicMeasure(pts, np.full(30, 1.0 / 30))
     src = AtomicMeasure([[0.5, 0.5]], [1.0])
     stages = []
-    trace = []
-    global_optimize(src, tg, 0.6, trace=trace,
-                    observer=lambda stage, net: stages.append(stage))
+    recorder.solve(src, tg, 0.6, inspect=lambda stage, net: stages.append(stage))
+    trace = recorder.events
     assert stages[0] == "init"
     assert stages[-1] == "final"
-    assert set(stages) <= {"init", "local_sweep", "subdivide", "reparent", "round", "final"}
+    assert set(stages) <= {"init", "local_sweep", "subdivide", "reparent_pass", "rollback",
+                           "final"}
     assert trace[0][0] == "init" and trace[-1][0] == "final"
     costs = [entry[3] for entry in trace if entry[0] in ("local", "reparent")]
     assert all(costs[i] >= costs[i + 1] - 1e-12 for i in range(len(costs) - 1))
@@ -417,8 +435,14 @@ def test_global_optimize_input_errors():
         global_optimize(SPOT_SRC, SPOT_TG, 0.5, OptimizeConfig(initializer="nope"))
 
 
-@pytest.mark.parametrize("field", ["rel_tol", "subdivide_factor"])
+@pytest.mark.parametrize("field", ["rel_tol", "subdivide_factor", "max_rounds"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError):
         OptimizeConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("value", [2.5, True, 0])
+def test_config_rejects_non_integer_max_rounds(value):
+    with pytest.raises(ValueError):
+        OptimizeConfig(max_rounds=value).validate()

@@ -108,7 +108,7 @@ def test_improve_vertex_keeps_optimal_chain():
     assert net.parent(leaf) == t
 
 
-def test_local_sweep_monotone_and_balanced():
+def test_local_sweep_monotone_and_balanced(recorder):
     rng = np.random.default_rng(10)
     pts = rng.uniform(0.0, 1.0, size=(40, 2))
     ms = rng.uniform(0.1, 1.0, size=40)
@@ -116,8 +116,9 @@ def test_local_sweep_monotone_and_balanced():
     m = float(ms.sum())
     net = build_subdivision((0.5, 0.5), m, tg, 0.5)
     eps = cost_tolerance(net.bbox_diameter(), m, 0.5)
-    trace = []
-    final = local_sweep(net, 0.5, OptimizeConfig(), eps_improve=eps, trace=trace)
+    recorder.start(0.5)
+    final = local_sweep(net, 0.5, OptimizeConfig(), eps_improve=eps)
+    trace = recorder.events
     assert final == pytest.approx(net.cost_m_alpha(0.5), rel=1e-12)
     for stage, _, before, after in trace:
         assert stage == "local"
@@ -171,15 +172,14 @@ def test_splice_matches_wired_plan(dim, alpha):
             scored = None
             if u != net.root and net.children(u) and _star_pool(net, u) is not None:
                 scored = star_cost(net, u, alpha) - _plan_network(net, u, alpha).cost_m_alpha(alpha)
-            trace = []
-            ok = improve_vertex(net, u, alpha, eps, trace=trace)
+            cost_before = net.cost_m_alpha(alpha)
+            ok = improve_vertex(net, u, alpha, eps)
             assert ok == (scored is not None and scored > eps)
             if not ok:
                 assert export_network(net, alpha) == before
                 continue
             accepted += 1
-            ((stage, vid, cost_before, cost_after),) = trace
-            assert (stage, vid) == ("local", u)
+            cost_after = net.cost_m_alpha(alpha)
             assert abs((cost_before - cost_after) - scored) <= 1e-12 * cost_before
             assert net.validate_structure() == []
             assert net.check_balance(src, tg).max_abs() <= 1e-9 * m
@@ -239,22 +239,13 @@ def _sweep_every_vertex(net, alpha, eps, config):
 
 
 @pytest.mark.parametrize("dim, alpha", [(2, 0.5), (2, 0.75), (3, 0.5), (3, 0.75)])
-def test_sweep_skips_only_repeated_rejections(monkeypatch, dim, alpha):
+def test_sweep_skips_only_repeated_rejections(recorder, dim, alpha):
     net, eps = _random_subdivision(dim, alpha, 30 + dim)
     reference = net.copy()
     want_cost = _sweep_every_vertex(reference, alpha, eps, OptimizeConfig())
 
-    calls = []
+    calls = recorder.calls
     last = {}  # vertex -> (star key, result) of the latest call on it
-
-    def spy(net_, u, alpha_, eps_, trace=None):
-        key = _star_key(net_, u)
-        assert last.get(u) != (key, False), f"rejected star of {u} scored again"
-        ok = improve_vertex(net_, u, alpha_, eps_, trace=trace)
-        last[u] = (key, ok)
-        calls.append(u)
-        return ok
-
     skipped = []
     real_bfs = net.bfs_order
 
@@ -262,15 +253,20 @@ def test_sweep_skips_only_repeated_rejections(monkeypatch, dim, alpha):
         # the sweep asks for the next vertex only once it is done with u
         for u in real_bfs():
             visited, n_calls = net.has_vertex(u), len(calls)
+            key = _star_key(net, u) if visited else None
             yield u
-            if visited and len(calls) == n_calls:
+            if len(calls) > n_calls:
+                ((vid, ok),) = calls[n_calls:]
+                assert vid == u
+                assert last.get(u) != (key, False), f"rejected star of {u} scored again"
+                last[u] = (key, ok)
+            elif visited:
                 skipped.append(u)
                 probe = net.copy()
                 before = export_network(probe, alpha)
                 assert not improve_vertex(probe, u, alpha, eps)
                 assert export_network(probe, alpha) == before
 
-    monkeypatch.setattr(optimize_local, "improve_vertex", spy)
     net.bfs_order = bfs_order
     cost = local_sweep(net, alpha, OptimizeConfig(), eps)
     assert len(skipped) > len(calls) / 2
@@ -278,38 +274,32 @@ def test_sweep_skips_only_repeated_rejections(monkeypatch, dim, alpha):
     assert export_network(net, alpha) == export_network(reference, alpha)
 
 
-def _two_sweeps(monkeypatch, net, alpha, eps, edit=None):
+def _two_sweeps(monkeypatch, recorder, net, alpha, eps, edit=None):
     """Run local_sweep for two sweeps, calling edit(net) between them;
     returns the (vertex, accepted) calls of each sweep and the network as
     the first sweep left it."""
     monkeypatch.setattr(optimize_local, "MAX_LOCAL_SWEEPS", 2)
-    sweeps = [[]]
-
-    def spy(net_, u, *args, **kwargs):
-        ok = improve_vertex(net_, u, *args, **kwargs)
-        sweeps[-1].append((u, ok))
-        return ok
-
+    ends = [len(recorder.calls)]  # where each sweep's calls start and end
     after_first = []
 
     def on_sweep(net_):
-        if len(sweeps) == 1:
+        if len(ends) == 1:
             after_first.append(net_.copy())
             if edit is not None:
                 edit(net_)
-        sweeps.append([])
+        ends.append(len(recorder.calls))
 
-    monkeypatch.setattr(optimize_local, "improve_vertex", spy)
     local_sweep(net, alpha, OptimizeConfig(), eps, on_sweep=on_sweep)
-    assert len(sweeps) == 3, "the first sweep stalled"
-    return sweeps[0], sweeps[1], after_first[0]
+    assert len(ends) == 3, "the first sweep stalled"
+    first, second = (recorder.calls[a:b] for a, b in zip(ends, ends[1:]))
+    return first, second, after_first[0]
 
 
 @pytest.mark.parametrize("edit", ["set_weight", "add_child", "rewire"])
-def test_edited_rejected_star_is_scored_again(monkeypatch, edit):
+def test_edited_rejected_star_is_scored_again(monkeypatch, recorder, edit):
     alpha = 0.5
     start, eps = _random_subdivision(2, alpha, 33, n=40)
-    first, second, mid = _two_sweeps(monkeypatch, start.copy(), alpha, eps)
+    first, second, mid = _two_sweeps(monkeypatch, recorder, start.copy(), alpha, eps)
     scored_again = {u for u, _ in second}
     u = next(u for u, ok in first
              if not ok and u not in scored_again and u != mid.root
@@ -328,24 +318,19 @@ def test_edited_rejected_star_is_scored_again(monkeypatch, edit):
             rewire(net, leaf, child)
             assert net.edge_mass(u) > inflow
 
-    _, second, _ = _two_sweeps(monkeypatch, start.copy(), alpha, eps, edit=change)
+    _, second, _ = _two_sweeps(monkeypatch, recorder, start.copy(), alpha, eps, edit=change)
     assert u in {v for v, _ in second}
 
 
-def test_restored_snapshot_is_scored_in_full(monkeypatch):
+def test_restored_snapshot_is_scored_in_full(monkeypatch, recorder):
     # on_sweep rewinds to a snapshot taken before the first sweep: ids freed
     # since then may return with other points, so no earlier rejection holds
     alpha = 0.5
     net, eps = _random_subdivision(2, alpha, 33, n=40)
     snap = net.copy()
     monkeypatch.setattr(optimize_local, "MAX_LOCAL_SWEEPS", 2)
-    calls = [[]]    # (vertex, accepted) per improve_vertex call, per sweep
+    ends = [0]      # where each sweep's improve_vertex calls start and end
     reached = [[]]  # vertices each sweep found present on its visit
-
-    def spy(net_, u, *args, **kwargs):
-        ok = improve_vertex(net_, u, *args, **kwargs)
-        calls[-1].append((u, ok))
-        return ok
 
     real_bfs = net.bfs_order
 
@@ -356,15 +341,16 @@ def test_restored_snapshot_is_scored_in_full(monkeypatch):
             yield u
 
     def on_sweep(net_):
-        if len(calls) == 1:
+        if len(ends) == 1:
             net_.restore_from(snap)
-        calls.append([])
+        ends.append(len(recorder.calls))
         reached.append([])
 
-    monkeypatch.setattr(optimize_local, "improve_vertex", spy)
     net.bfs_order = bfs_order
     local_sweep(net, alpha, OptimizeConfig(), eps, on_sweep=on_sweep)
-    assert len(calls) == 3, "the first sweep stalled"
+    assert len(ends) == 3, "the first sweep stalled"
+    # (vertex, accepted) per improve_vertex call, per sweep
+    calls = [recorder.calls[a:b] for a, b in zip(ends, ends[1:])]
     rejected_first = {u for u, ok in calls[0] if not ok}
     assert rejected_first & set(reached[1])
     assert [u for u, _ in calls[1]] == reached[1]
