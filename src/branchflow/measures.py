@@ -8,6 +8,7 @@ its atoms exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -154,11 +155,19 @@ def bounding_cube(points: np.ndarray) -> Cube:
 
 
 def diameter(points: np.ndarray) -> float:
-    """Diagonal length of the axis-aligned bounding box of the points."""
+    """Diagonal length of the axis-aligned bounding box of the points.
+
+    A box whose largest span lies outside 2**+-500 is measured scaled by a
+    power of two, which is exact, so the squared spans neither underflow
+    nor overflow."""
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         return 0.0
     span = pts.max(axis=0) - pts.min(axis=0)
+    k = math.frexp(float(span.max()))[1]
+    if not -500 < k < 500:
+        span = np.ldexp(span, -k)
+        return math.ldexp(float(np.sqrt(np.sum(span * span))), k)
     return float(np.sqrt(np.sum(span * span)))
 
 

@@ -439,6 +439,11 @@ class TransportNetwork:
     def _coincident_pairs(self, eps: float) -> list[tuple[int, int]]:
         ids, pts = self.points_array()
         n = len(ids)
+        # like measures.diameter, compare scaled by a power of two when
+        # eps is far from unit range, so squared offsets stay finite
+        k = math.frexp(eps)[1]
+        if not -500 < k < 500:
+            pts, eps = np.ldexp(pts, -k), math.ldexp(eps, -k)
         out = []
         for i in range(n):
             d = pts[i + 1:] - pts[i]

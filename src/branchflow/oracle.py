@@ -10,22 +10,30 @@ uses the closed-form construction.
 enumerate_optimal solves tiny instances (up to four targets) exactly up to
 junction-placement tolerance: it enumerates every full binary branching
 topology over the targets as a plan in construct._greedy_small's format,
-places its junctions by a smoothed joint solve and coordinate descent, and
-scores it with construct.plan_cost; construct._wire wires the cheapest.
-Only the plan format, the cost sum and the wiring are shared with the
-solver.  Degenerate optima (junctions collapsing onto the source, a target,
-or each other) appear as zero-length edges and are cleaned away when the
-winning network is canonicalized.
+places its junctions, and scores it with construct.plan_cost;
+construct._wire wires the cheapest.  Only the plan format, the cost sum and
+the wiring are shared with the solver.  Degenerate optima (junctions
+collapsing onto the source, a target, or each other) appear as zero-length
+edges and are cleaned away when the winning network is canonicalized.
+
+Junction placement takes a plan (points, edges, first, alpha) and runs on
+plain floats.  _joint_smooth_min moves all junctions at once on the cost
+with each edge length |v| smoothed to sqrt(|v|^2 + delta^2), delta shrinking
+through four stages; each stage is a damped Newton solve with the exact
+Hessian (at most 3d x 3d for four targets in d dimensions), factored by a
+small hand-written Cholesky.  _descend then polishes by per-junction
+closed-form moves until no junction moves by DESCENT_TOL of the plan's
+scale.
 """
 from __future__ import annotations
 
 import logging
 import math
 from functools import lru_cache
+from operator import mul, sub
 from typing import Iterator
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bifurcation import BifurcationInput, solve_two_targets
 from .construct import _wire, plan_cost
@@ -39,6 +47,9 @@ GRID_RESOLUTION = 64
 REFINE_ROUNDS = 20
 DESCENT_TOL = 1e-10
 MAX_DESCENT_PASSES = 10_000
+SMOOTHING = (1e-2, 1e-4, 1e-6, 1e-9)  # delta stages, times the plan's scale
+NEWTON_TOL = 1e-20
+MAX_NEWTON_STEPS = 100
 
 
 @lru_cache(maxsize=8)
@@ -173,6 +184,152 @@ def _plan(shape: Shape, points: np.ndarray, masses):
     return junctions, edges
 
 
+def _scale(points: list, first: int) -> float:
+    """Largest coordinate range of a plan's fixed points points[:first]
+    (1.0 when they all coincide)."""
+    spans = [max(axis) - min(axis) for axis in zip(*points[:first])]
+    return max(spans) or 1.0
+
+
+def _edge_terms(fixed: list, edges, first: int, alpha: float) -> list:
+    """A plan's edges as (i, a, j, b, w**alpha) for the smoothed objective:
+    i and j index the junction rows (node - first), and a negative row
+    stands for the fixed point a or b, which is None otherwise."""
+    return [(p - first, fixed[p] if p < first else None,
+             c - first, fixed[c] if c < first else None, w ** alpha)
+            for p, c, w in edges]
+
+
+def _smoothed_value(terms, pts, delta: float) -> float:
+    """sum coef * sqrt(|v|^2 + delta^2) over the plan's edges v."""
+    total = 0.0
+    for i, a, j, b, coef in terms:
+        total += coef * math.hypot(*map(sub, pts[i] if i >= 0 else a,
+                                        pts[j] if j >= 0 else b), delta)
+    return total
+
+
+def _smoothed_system(terms, pts, delta: float, d: int):
+    """Value, gradient and Hessian of the smoothed objective in the flat
+    junction coordinates, and the gradient's rate of change with delta.
+
+    An edge v = u - w with r = sqrt(|v|^2 + delta^2) adds coef * v / r to
+    u's gradient and coef * (I / r - v v^T / r^3) to the Hessian blocks
+    (u, u) and (w, w), and subtracts them at w and from (u, w) and (w, u);
+    for delta > 0 the Hessian is positive definite.  The gradient term's
+    delta derivative is -coef * delta * v / r^3."""
+    n = len(pts) * d
+    value = 0.0
+    grad = [0.0] * n
+    drift = [0.0] * n
+    hess = [[0.0] * n for _ in range(n)]
+    dims = range(d)
+    for i, a, j, b, coef in terms:
+        v = list(map(sub, pts[i] if i >= 0 else a, pts[j] if j >= 0 else b))
+        r = math.hypot(*v, delta)
+        value += coef * r
+        s = coef / r
+        t = s / (r * r)
+        block = [[-t * x * y for y in v] for x in v]
+        for k in dims:
+            block[k][k] += s
+        ends = [(x * d, sign) for x, sign in ((i, 1.0), (j, -1.0)) if x >= 0]
+        for row, sign in ends:
+            for k in dims:
+                grad[row + k] += sign * s * v[k]
+                drift[row + k] -= sign * t * delta * v[k]
+            for col, sign2 in ends:
+                sign_b = sign * sign2
+                for k in dims:
+                    hrow = hess[row + k]
+                    brow = block[k]
+                    for m in dims:
+                        hrow[col + m] += sign_b * brow[m]
+    return value, grad, hess, drift
+
+
+def _cholesky(a: list) -> list | None:
+    """Lower Cholesky factor of a symmetric matrix; None when a pivot is
+    not positive."""
+    n = len(a)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        li = low[i]
+        for j in range(i + 1):
+            lj = low[j]
+            s = a[i][j] - sum(map(mul, li[:j], lj[:j]))
+            if i == j:
+                if not s > 0.0:
+                    return None
+                li[i] = math.sqrt(s)
+            else:
+                li[j] = s / lj[j]
+    return low
+
+
+def _factor(hess: list) -> list:
+    """Cholesky factor of hess, with a growing multiple of its largest
+    diagonal entry added when rounding leaves it indefinite.  The last
+    shift, 100 times that entry, makes any finite Hessian of up to 3d x 3d
+    diagonally dominant."""
+    top = max(row[k] for k, row in enumerate(hess))
+    for shift in (0.0, *(10.0 ** e * top for e in range(-14, 3, 2))):
+        a = [row[:] for row in hess]
+        for k in range(len(a)):
+            a[k][k] += shift
+        low = _cholesky(a)
+        if low is not None:
+            return low
+    raise FloatingPointError("the smoothed Hessian is not finite")
+
+
+def _solve(low: list, rhs: list) -> list:
+    """x with low low^T x = rhs, by forward and back substitution."""
+    n = len(rhs)
+    y = [0.0] * n
+    for i in range(n):
+        li = low[i]
+        y[i] = (rhs[i] - sum(map(mul, li[:i], y[:i]))) / li[i]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (y[i] - sum(low[k][i] * x[k] for k in range(i + 1, n))) / low[i][i]
+    return x
+
+
+def _moved(pts: list, step: list, t: float, d: int) -> list:
+    """Junction rows pts moved by t times the flat step."""
+    return [[x + t * s for x, s in zip(row, step[r * d:(r + 1) * d])]
+            for r, row in enumerate(pts)]
+
+
+def _newton_stage(terms, pts: list, delta: float, d: int):
+    """Damped Newton solve of one smoothing stage from pts: exact Hessian,
+    Armijo backtracking with a quadratic fit, stopped when the squared
+    Newton decrement falls to NEWTON_TOL of the value or a step stops
+    lowering it.  Returns the junction rows, the Cholesky factor of the
+    last Hessian and the last gradient's delta derivative."""
+    for _ in range(MAX_NEWTON_STEPS):
+        value, grad, hess, drift = _smoothed_system(terms, pts, delta, d)
+        low = _factor(hess)
+        step = _solve(low, [-x for x in grad])
+        slope = math.fsum(map(mul, grad, step))  # minus the decrement squared
+        if -slope <= NEWTON_TOL * value:
+            break
+        t = 1.0
+        while True:
+            trial = _moved(pts, step, t, d)
+            f_trial = _smoothed_value(terms, trial, delta)
+            if f_trial <= value + 1e-4 * t * slope or t < 1e-20:
+                break
+            # minimizer of the quadratic through value, slope and f_trial
+            fit = -slope * t * t / (2.0 * (f_trial - value - slope * t))
+            t = min(0.5 * t, max(0.1 * t, fit))  # a NaN fit gives 0.1 * t
+        if not f_trial < value:
+            break  # no descent left at this rounding level
+        pts = trial
+    return pts, low, drift
+
+
 def _joint_smooth_min(points: list, edges, first: int, alpha: float) -> None:
     """Jointly minimize the junction positions points[first:] of a plan on a
     smoothed objective, in place.
@@ -180,44 +337,41 @@ def _joint_smooth_min(points: list, edges, first: int, alpha: float) -> None:
     For a fixed topology the cost is convex in the junction coordinates but
     not smooth, and per-junction block descent can stall where junctions
     coincide.  Replacing each |v| with sqrt(|v|^2 + delta^2) and shrinking
-    delta keeps the problem smooth and convex the whole way down, so a
-    quasi-Newton solve tracks the true minimizer reliably.
+    delta through SMOOTHING times the plan's scale keeps the problem smooth
+    and strictly convex the whole way down; each stage is a damped Newton
+    solve.  A stage starts where the one before ended, moved along the
+    tangent of the minimizer's path in delta when that starts lower.  The
+    plan is solved scaled by the power of two that brings its fixed points
+    into unit range, which is exact, so the solve does not depend on the
+    coordinate scale.
     """
     free = len(points) - first
     if not free:
         return
-    # junction rows are indexed from 0; a negative row marks a fixed point
-    terms = [(p - first, points[p], c - first, points[c], w ** alpha)
-             for p, c, w in edges]
-    scale = max(float(np.ptp(np.vstack(points[:first]), axis=0).max()), 1e-9)
-
-    def value_and_grad(x: np.ndarray, delta: float):
-        pts = x.reshape(free, -1)
-        val = 0.0
-        grad = np.zeros_like(pts)
-        for i, a, j, b, coef in terms:
-            diff = (pts[i] if i >= 0 else a) - (pts[j] if j >= 0 else b)
-            r = math.sqrt(float(np.dot(diff, diff)) + delta * delta)
-            val += coef * r
-            g = coef * diff / r
-            if i >= 0:
-                grad[i] += g
-            if j >= 0:
-                grad[j] -= g
-        return val, grad.ravel()
-
-    x = np.concatenate(points[first:])
-    for delta in (1e-2 * scale, 1e-4 * scale, 1e-6 * scale, 1e-9 * scale):
-        res = minimize(value_and_grad, x, args=(delta,), jac=True,
-                       method="L-BFGS-B",
-                       options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12})
-        x = res.x
-    points[first:] = x.reshape(free, -1)
+    d = len(points[0])
+    k = math.frexp(_scale(points, first))[1]
+    fixed = [tuple(math.ldexp(float(x), -k) for x in pt) for pt in points[:first]]
+    pts = [[math.ldexp(float(x), -k) for x in pt] for pt in points[first:]]
+    terms = _edge_terms(fixed, edges, first, alpha)
+    scale = _scale(fixed, first)
+    deltas = [f * scale for f in SMOOTHING]
+    for stage, delta in enumerate(deltas):
+        pts, low, drift = _newton_stage(terms, pts, delta, d)
+        if stage + 1 < len(deltas):
+            # the minimizer moves by -H^-1 (d grad / d delta) per unit delta
+            after = deltas[stage + 1]
+            guess = _moved(pts, _solve(low, drift), delta - after, d)
+            if _smoothed_value(terms, guess, after) < _smoothed_value(terms, pts, after):
+                pts = guess
+    points[first:] = [tuple(math.ldexp(x, k) for x in row) for row in pts]
 
 
 def _descend(points: list, edges, first: int, alpha: float) -> bool:
     """Coordinate descent on the junction positions points[first:] of a
-    plan, in place, junctions visited in plan order; True when converged."""
+    plan, in place, junctions visited in plan order; True when converged,
+    that is when a pass moves no junction by DESCENT_TOL of the plan's
+    scale."""
+    tol = DESCENT_TOL * _scale(points, first)
     below: list[list[tuple[int, float]]] = [[] for _ in points]
     for p, c, w in edges:
         below[p].append((c, w))
@@ -233,7 +387,7 @@ def _descend(points: list, edges, first: int, alpha: float) -> bool:
                 new_pos = points[j]  # children coincide; leave the junction be
             moved = max(moved, math.dist(new_pos, points[j]))
             points[j] = new_pos
-        if moved < DESCENT_TOL:
+        if moved < tol:
             return True
     return False
 

@@ -14,7 +14,7 @@ def test_repo_against_itself():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert sorted(report) == ["solve-3d", "solve-planar"]
+    assert sorted(report) == ["certify-small", "solve-3d", "solve-planar"]
     for row in report.values():
         assert row["instances"] == 2
         assert row["identical_costs"] == 2

@@ -78,3 +78,10 @@ def test_bounding_cube_covers_points():
 def test_diameter_known_values():
     assert diameter(np.array([[0.0, 0.0], [3.0, 4.0]])) == pytest.approx(5.0)
     assert diameter(np.array([[1.0, 1.0]])) == 0.0
+
+
+def test_diameter_at_extreme_scales():
+    # the squared spans would overflow past 1e154 and underflow below 1e-154
+    for s in (1e-300, 1e-170, 1e170, 1e300):
+        pts = np.array([[0.0, 0.0], [3.0, 4.0]]) * s
+        assert diameter(pts) == pytest.approx(5.0 * s, rel=1e-15), s

@@ -8,7 +8,7 @@ from branchflow import optimize_global
 from branchflow.config import INITIALIZERS, OptimizeConfig, cost_tolerance
 from branchflow.construct import build_subdivision
 from branchflow.errors import InputError
-from branchflow.instances import export_network
+from branchflow.instances import export_network, generate_points
 from branchflow.measures import AtomicMeasure
 from branchflow.network import TransportNetwork
 from branchflow.optimize_global import (
@@ -446,3 +446,19 @@ def test_config_rejects_non_finite(field, value):
 def test_config_rejects_non_integer_max_rounds(value):
     with pytest.raises(ValueError):
         OptimizeConfig(max_rounds=value).validate()
+
+
+def test_solve_cost_scales_past_the_squared_range():
+    # at 1e300 the squared bounding-box span overflowed, which made the
+    # improvement threshold infinite and stopped every move
+    pts = generate_points("uniform-square", 20, None, 1)
+    tg_mass = np.full(20, 1.0 / 20)
+
+    def cost(s: float) -> float:
+        net = global_optimize(AtomicMeasure([[0.5 * s, 0.5 * s]], [1.0]),
+                              AtomicMeasure(pts * s, tg_mass), 0.5)
+        return net.cost_m_alpha(0.5)
+
+    unit = cost(1.0)
+    for s in (1e300, 1e-300):
+        assert cost(s) == pytest.approx(unit * s, rel=1e-12), s

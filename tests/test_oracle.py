@@ -1,13 +1,20 @@
 """Unit tests for the exhaustive small-instance reference solver."""
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from branchflow import oracle
 from branchflow.bifurcation import BifurcationInput, objective_f, solve_two_targets
 from branchflow.errors import InputError
 from branchflow.measures import AtomicMeasure
 from branchflow.oracle import _plan, enumerate_optimal, grid_minimize_f, topologies
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_topology_counts():
@@ -212,3 +219,125 @@ def test_enumerate_optimal_input_limits():
     tg = AtomicMeasure([[2.0, 2.0]], [1.0])
     with pytest.raises(InputError):
         enumerate_optimal(two_src, tg, 0.5)
+
+
+def _lbfgs_smooth_min(points: list, edges, first: int, alpha: float) -> None:
+    """The junction placement the oracle used before its Newton kernel:
+    scipy's L-BFGS-B on the same smoothed objective and delta schedule,
+    with the scale floored at 1e-9.  Kept as a reference."""
+    free = len(points) - first
+    if not free:
+        return
+    terms = [(p - first, points[p], c - first, points[c], w ** alpha)
+             for p, c, w in edges]
+    scale = max(float(np.ptp(np.vstack(points[:first]), axis=0).max()), 1e-9)
+
+    def value_and_grad(x: np.ndarray, delta: float):
+        pts = x.reshape(free, -1)
+        val = 0.0
+        grad = np.zeros_like(pts)
+        for i, a, j, b, coef in terms:
+            diff = (pts[i] if i >= 0 else a) - (pts[j] if j >= 0 else b)
+            r = math.sqrt(float(np.dot(diff, diff)) + delta * delta)
+            val += coef * r
+            g = coef * diff / r
+            if i >= 0:
+                grad[i] += g
+            if j >= 0:
+                grad[j] -= g
+        return val, grad.ravel()
+
+    x = np.concatenate(points[first:])
+    for delta in (1e-2 * scale, 1e-4 * scale, 1e-6 * scale, 1e-9 * scale):
+        res = minimize(value_and_grad, x, args=(delta,), jac=True,
+                       method="L-BFGS-B",
+                       options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12})
+        x = res.x
+    points[first:] = x.reshape(free, -1)
+
+
+def _random_instance(rng, k: int, d: int, scale: float = 1.0):
+    pts = rng.uniform(size=(k, d)) * scale
+    src = rng.uniform(size=d) * scale
+    ms = rng.uniform(0.5, 1.5, size=k)
+    ms /= ms.sum()
+    return AtomicMeasure([src], [1.0]), AtomicMeasure(pts, ms)
+
+
+def test_smoothed_system_matches_finite_differences():
+    rng = np.random.default_rng(31)
+    h = 1e-6
+    for k, d in ((2, 2), (3, 3), (4, 2), (4, 4)):
+        src, tg = _random_instance(rng, k, d)
+        alpha = float(rng.uniform(0.3, 0.95))
+        shape = list(topologies(k))[-1]
+        junctions, edges = _plan(shape, tg.points, tg.masses)
+        first = k + 1
+        fixed = [tuple(p) for p in (src.points[0], *tg.points)]
+        terms = oracle._edge_terms(fixed, edges, first, alpha)
+        pts = [(j + rng.normal(scale=0.05, size=d)).tolist() for j in junctions]
+        n = len(pts) * d
+        for delta in (0.1, 0.01):
+            value, grad, hess, drift = oracle._smoothed_system(terms, pts, delta, d)
+            assert value == pytest.approx(oracle._smoothed_value(terms, pts, delta), rel=1e-15)
+
+            def shifted(c: int, e: float) -> list:
+                flat = [x for row in pts for x in row]
+                flat[c] += e
+                return [flat[r * d:(r + 1) * d] for r in range(len(pts))]
+
+            for c in range(n):
+                up, down = shifted(c, h), shifted(c, -h)
+                fd = (oracle._smoothed_value(terms, up, delta)
+                      - oracle._smoothed_value(terms, down, delta)) / (2 * h)
+                assert fd == pytest.approx(grad[c], abs=1e-7)
+                g_up = oracle._smoothed_system(terms, up, delta, d)[1]
+                g_down = oracle._smoothed_system(terms, down, delta, d)[1]
+                top = max(map(abs, hess[c]))
+                for r in range(n):
+                    assert hess[r][c] == pytest.approx(hess[c][r], rel=1e-14)
+                    fd = (g_up[r] - g_down[r]) / (2 * h)
+                    assert fd == pytest.approx(hess[r][c], abs=1e-6 * top)
+            g_up = oracle._smoothed_system(terms, pts, delta + h * delta, d)[1]
+            g_down = oracle._smoothed_system(terms, pts, delta - h * delta, d)[1]
+            for c in range(n):
+                fd = (g_up[c] - g_down[c]) / (2 * h * delta)
+                assert fd == pytest.approx(drift[c], abs=1e-6 * max(map(abs, drift)))
+
+
+def test_newton_placement_is_no_worse_than_lbfgs(monkeypatch):
+    rng = np.random.default_rng(32)
+    for k in (2, 3, 4):
+        for d in (2, 3, 4):
+            for scale in (1e-8, 1.0, 1e8):
+                src, tg = _random_instance(rng, k, d, scale)
+                alpha = float(rng.uniform(0.3, 0.95))
+                _, got = enumerate_optimal(src, tg, alpha)
+                with monkeypatch.context() as m:
+                    m.setattr(oracle, "_joint_smooth_min", _lbfgs_smooth_min)
+                    _, ref = enumerate_optimal(src, tg, alpha)
+                assert got <= ref * (1.0 + 1e-12), (k, d, scale, got, ref)
+
+
+def test_descent_tolerance_scales_with_the_instance(caplog):
+    # a k = 4, d = 3 instance whose descent ran into the pass cap at 1e8 and
+    # stopped 6.7e-7 above the optimum at 1e-8 while the tolerance was
+    # absolute
+    src, tg = _random_instance(np.random.default_rng(17), 4, 3)
+    alpha = 0.75
+    _, unit = enumerate_optimal(src, tg, alpha)
+    for s in (1e8, 1e-8):
+        caplog.clear()
+        scaled_src = AtomicMeasure(src.points * s, src.masses)
+        _, cost = enumerate_optimal(scaled_src, AtomicMeasure(tg.points * s, tg.masses), alpha)
+        assert not [r for r in caplog.records if "pass cap" in r.getMessage()], s
+        assert cost == pytest.approx(unit * s, rel=1e-9), s
+
+
+def test_importing_the_package_leaves_scipy_optimize_out():
+    code = ("import sys, branchflow; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(ROOT / "src")}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,4 @@
-"""Time `global_optimize` of two checkouts against each other in one process.
+"""Time the solver and the oracle of two checkouts against each other in one process.
 
     python3 tools/ab_solve.py OLD NEW [--count 32] [--repeats 5]
 
@@ -9,11 +9,13 @@ timings swing too much between runs for a small change to show; timing both
 sides in one process, interleaved, takes most of that swing out.
 
 The instances are the first COUNT of `perfbench`'s `CaseStream` at seed 1 for
-`solve-planar` and `solve-3d`, the set `tools/solve_manifest.py` also uses;
-`perfbench` is only read.  Each side parses each instance with its own
-`parse_instance` and solves it REPEATS times with the default
-`OptimizeConfig`, alternating which side goes first, and keeps its minimum
-time per instance.
+`solve-planar`, `solve-3d` and `certify-small`, the set
+`tools/solve_manifest.py` also uses; `perfbench` is only read.  Each side
+parses each instance with its own `parse_instance` and runs it REPEATS
+times, alternating which side goes first, and keeps its minimum time per
+instance.  The solve workloads time `global_optimize` with the default
+`OptimizeConfig`; `certify-small` times the exhaustive oracle,
+`enumerate_optimal`.
 
 Prints JSON per workload: the summed minima of both sides in seconds, their
 ratio NEW/OLD, how many final costs are bit-identical, and the largest cost
@@ -36,7 +38,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from pb_workloads import WORKLOADS, CaseStream  # noqa: E402
 
 CASE_SEED = 1
-WORKLOAD_NAMES = ("solve-planar", "solve-3d")
+WORKLOAD_NAMES = ("solve-planar", "solve-3d", "certify-small")
 SIDES = ("old", "new")
 
 
@@ -44,15 +46,20 @@ def _load(checkout: Path, name: str, where: Path):
     """Import checkout/src/branchflow under the package name `name`."""
     shutil.copytree(checkout / "src" / "branchflow", where / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    return (importlib.import_module(f"{name}.instances"),
-            importlib.import_module(f"{name}.optimize_global"))
+    return {mod: importlib.import_module(f"{name}.{mod}")
+            for mod in ("instances", "optimize_global", "oracle")}
 
 
-def _solve_timed(modules, text: str) -> tuple[float, float]:
-    instances, optimize_global = modules
-    inst = instances.parse_instance(text, "json")
+def _run_timed(modules, workload: str, text: str) -> tuple[float, float]:
+    """Seconds and final cost of one solve, or of one oracle run on
+    certify-small."""
+    inst = modules["instances"].parse_instance(text, "json")
+    args = (inst.source_measure(), inst.targets, inst.alpha)
     start = perf_counter()
-    net = optimize_global.global_optimize(inst.source_measure(), inst.targets, inst.alpha)
+    if workload == "certify-small":
+        _, cost = modules["oracle"].enumerate_optimal(*args)
+        return perf_counter() - start, cost
+    net = modules["optimize_global"].global_optimize(*args)
     elapsed = perf_counter() - start
     return elapsed, net.cost_m_alpha(inst.alpha)
 
@@ -77,7 +84,7 @@ def compare(old: Path, new: Path, count: int, repeats: int) -> dict:
                 cost = {}
                 for rep in range(repeats):
                     for side in (SIDES if (i + rep) % 2 == 0 else SIDES[::-1]):
-                        elapsed, cost[side] = _solve_timed(sides[side], text)
+                        elapsed, cost[side] = _run_timed(sides[side], name, text)
                         best[side] = min(best[side], elapsed)
                 for side in SIDES:
                     totals[side] += best[side]
