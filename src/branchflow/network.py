@@ -440,7 +440,8 @@ class TransportNetwork:
         ids, pts = self.points_array()
         n = len(ids)
         # like measures.diameter, compare scaled by a power of two when
-        # eps is far from unit range, so squared offsets stay finite
+        # eps is far from unit range, so squared offsets neither overflow
+        # nor underflow
         k = math.frexp(eps)[1]
         if not -500 < k < 500:
             pts, eps = np.ldexp(pts, -k), math.ldexp(eps, -k)

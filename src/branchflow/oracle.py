@@ -349,12 +349,12 @@ def _joint_smooth_min(points: list, edges, first: int, alpha: float) -> None:
     if not free:
         return
     d = len(points[0])
-    k = math.frexp(_scale(points, first))[1]
+    scale = _scale(points, first)
+    k = math.frexp(scale)[1]
     fixed = [tuple(math.ldexp(float(x), -k) for x in pt) for pt in points[:first]]
     pts = [[math.ldexp(float(x), -k) for x in pt] for pt in points[first:]]
     terms = _edge_terms(fixed, edges, first, alpha)
-    scale = _scale(fixed, first)
-    deltas = [f * scale for f in SMOOTHING]
+    deltas = [f * math.ldexp(scale, -k) for f in SMOOTHING]
     for stage, delta in enumerate(deltas):
         pts, low, drift = _newton_stage(terms, pts, delta, d)
         if stage + 1 < len(deltas):
