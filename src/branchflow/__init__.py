@@ -35,7 +35,7 @@ from .instances import (
     import_network,
     parse_instance,
 )
-from .measures import AtomicMeasure, Cube, bounding_cube, diameter
+from .measures import AtomicMeasure, bounding_cube, diameter
 from .network import BalanceReport, TransportNetwork
 from .optimize_global import (
     evaluate_reparent,
@@ -57,7 +57,6 @@ __all__ = [
     "BifurcationResult",
     "BranchCase",
     "BranchflowError",
-    "Cube",
     "DegenerateInputError",
     "GENERATORS",
     "INITIALIZERS",

@@ -14,20 +14,20 @@ build_subdivision scales to many targets by recursive spatial subdivision:
 the bounding cube splits into lam**d equal cells (lam = 3 in the plane, 2
 otherwise), each nonempty cell is summarized by a pseudo-target at its center
 carrying the cell's mass, the source feeds the cell centers by greedy
-pairing, and each cell recurses from its own center.  Every vertex ends up
-with at most lam**d + 1 neighbors.
+pairing, and each cell recurses from its own center.  _subcells finds an
+atom's cell by one binary search per axis among the cut points.  Every
+vertex ends up with at most lam**d + 1 neighbors.
 
 build_star is the trivial baseline: one direct edge per target.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from bisect import bisect_right
 
 from .bifurcation import BifurcationInput, BranchCase, solve_two_targets
 from .errors import DegenerateInputError, InputError
-from .measures import AtomicMeasure, Cube, bounding_cube, check_source_targets
+from .measures import AtomicMeasure, bounding_cube, check_source_targets
 from .network import TransportNetwork
 
 MAX_DEPTH = 32
@@ -117,7 +117,7 @@ def _wire(net: TransportNetwork, ids: list[int], junctions, edges) -> None:
 def build_small(source_point, source_mass: float, targets: AtomicMeasure,
                 alpha: float) -> TransportNetwork:
     """Greedy bifurcation network from one source to a small target set."""
-    check_source_targets(source_point, source_mass, targets)
+    check_source_targets(source_point, source_mass, targets, alpha)
     net = TransportNetwork(source_point, source_mass)
     ids = [net.root] + [net.add_vertex(pt, terminal=True) for pt in targets.points]
     pool = [(net.point(vid), m) for vid, (_, m) in zip(ids[1:], targets.atoms())]
@@ -129,7 +129,7 @@ def build_small(source_point, source_mass: float, targets: AtomicMeasure,
 def build_star(source_point, source_mass: float, targets: AtomicMeasure,
                alpha: float) -> TransportNetwork:
     """One direct edge per target; the baseline everything must beat."""
-    check_source_targets(source_point, source_mass, targets)
+    check_source_targets(source_point, source_mass, targets, alpha)
     net = TransportNetwork(source_point, source_mass)
     for pt, mass in targets.atoms():
         vid = net.add_vertex(pt, terminal=True)
@@ -138,11 +138,31 @@ def build_star(source_point, source_mass: float, targets: AtomicMeasure,
     return net
 
 
+def _subcells(box: tuple, lam: int, points, atom_idx: list[int]):
+    """Split box = (lo, hi) into lam**d cells of equal side and group the
+    atoms i in atom_idx by the cell holding points[i].
+
+    Per axis the cells are half-open [cut_j, cut_j+1), and the last one
+    also holds the upper face hi, so every atom of the box lands in exactly
+    one cell.  Returns ((cell_lo, cell_hi), members) per nonempty cell in
+    ascending cell index (last axis fastest), members in atom_idx order."""
+    cuts = []
+    for a, b in zip(*box):
+        h = (b - a) / lam
+        cuts.append([a + j * h for j in range(lam)] + [b])
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i in atom_idx:
+        key = tuple(bisect_right(c, x, 1, lam) - 1 for c, x in zip(cuts, points[i]))
+        groups.setdefault(key, []).append(i)
+    return [((tuple(c[k] for c, k in zip(cuts, key)),
+              tuple(c[k + 1] for c, k in zip(cuts, key))), groups[key])
+            for key in sorted(groups)]
+
+
 def build_subdivision(source_point, source_mass: float, targets: AtomicMeasure,
                       alpha: float) -> TransportNetwork:
     """Recursive cell summary construction; scales past the greedy cutoff."""
-    check_source_targets(source_point, source_mass, targets)
-    source_point = np.asarray(source_point, dtype=float)
+    check_source_targets(source_point, source_mass, targets, alpha)
     d = targets.dimension
     if d < 2:
         raise InputError("instances must live in dimension >= 2")
@@ -151,16 +171,14 @@ def build_subdivision(source_point, source_mass: float, targets: AtomicMeasure,
 
     net = TransportNetwork(source_point, source_mass)
     leaf_ids = [net.add_vertex(targets.points[i], terminal=True) for i in range(targets.n)]
+    leaf_points = [net.point(vid) for vid in leaf_ids]
 
-    all_points = np.vstack([source_point.reshape(1, -1), targets.points])
-    cube = bounding_cube(all_points)
-
-    def recurse(src_vid: int, atom_idx: list[int], cell: Cube, depth: int) -> None:
+    def recurse(src_vid: int, atom_idx: list[int], box: tuple, depth: int) -> None:
         if not atom_idx:
             return
         o = net.point(src_vid)
         if len(atom_idx) <= capacity:
-            pool = [(net.point(leaf_ids[i]), float(targets.masses[i])) for i in atom_idx]
+            pool = [(leaf_points[i], float(targets.masses[i])) for i in atom_idx]
             _wire(net, [src_vid] + [leaf_ids[i] for i in atom_idx],
                   *_greedy_small(o, pool, alpha))
             return
@@ -168,18 +186,15 @@ def build_subdivision(source_point, source_mass: float, targets: AtomicMeasure,
             for i in atom_idx:
                 net.add_edge(src_vid, leaf_ids[i], float(targets.masses[i]))
             return
-        groups: list[tuple[Cube, list[int]]] = []
-        for sub in cell.split(lam):
-            members = [i for i in atom_idx if sub.contains(targets.points[i])]
-            if members:
-                groups.append((sub, members))
-        centers = [net.add_vertex(sub.center) for sub, _ in groups]
+        groups = _subcells(box, lam, leaf_points, atom_idx)
+        centers = [net.add_vertex([(a + b) / 2.0 for a, b in zip(*sub)]) for sub, _ in groups]
         pool = [(net.point(cvid), float(sum(targets.masses[i] for i in members)))
                 for cvid, (_, members) in zip(centers, groups)]
         _wire(net, [src_vid] + centers, *_greedy_small(o, pool, alpha))
         for (sub, members), cvid in zip(groups, centers):
             recurse(cvid, members, sub, depth + 1)
 
-    recurse(net.root, list(range(targets.n)), cube, 0)
+    box = bounding_cube([net.point(net.root)] + leaf_points)
+    recurse(net.root, list(range(targets.n)), box, 0)
     net.canonicalize()
     return net

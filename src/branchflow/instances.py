@@ -46,7 +46,7 @@ class Instance:
             raise InputError(f"source point is not finite: {self.source_point}")
         if not (np.isfinite(self.source_mass) and self.source_mass > 0):
             raise InputError(f"source mass must be positive, got {self.source_mass}")
-        check_source_targets(self.source_point, self.source_mass, self.targets)
+        check_source_targets(self.source_point, self.source_mass, self.targets, self.alpha)
 
 
 # ---------------- synthetic point generators ----------------

@@ -1,10 +1,8 @@
-"""Atomic measures and axis-aligned boxes.
+"""Atomic measures and their bounding boxes.
 
 An atomic measure is a finite set of point masses sum(m_i * delta_{x_i}) with
-pairwise distinct points and strictly positive masses.  Boxes are half-open
-[lo, hi) per axis, except axes explicitly flagged closed on the upper face
-(the outermost faces of a bounding cube), so that splitting a box partitions
-its atoms exactly.
+pairwise distinct points and strictly positive masses.  A bounding cube is a
+pair (lo, hi) of float tuples; construct._subcells splits one into cells.
 """
 from __future__ import annotations
 
@@ -18,69 +16,15 @@ from .config import mass_tolerance
 from .errors import InputError
 
 
+# Below 2**1020 the corners of a bounding cube, and their sums, stay finite.
+MAX_COORDINATE = 2.0 ** 1020
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str  # "duplicate_point" | "nonpositive_mass" | "nonfinite_coordinate"
     index: int
     detail: str
-
-
-@dataclass(frozen=True)
-class Cube:
-    """Axis-aligned box; upper faces are open unless flagged in closed_hi."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-    closed_hi: tuple[bool, ...]
-
-    @classmethod
-    def from_bounds(cls, lo, hi, closed_hi=None) -> "Cube":
-        lo = tuple(float(v) for v in lo)
-        hi = tuple(float(v) for v in hi)
-        if closed_hi is None:
-            closed_hi = tuple(True for _ in lo)
-        return cls(lo, hi, tuple(bool(c) for c in closed_hi))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.lo)
-
-    @property
-    def center(self) -> np.ndarray:
-        return (np.asarray(self.lo) + np.asarray(self.hi)) / 2.0
-
-    def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        for x, lo, hi, closed in zip(p, self.lo, self.hi, self.closed_hi):
-            if x < lo:
-                return False
-            if x > hi or (x == hi and not closed):
-                return False
-        return True
-
-    def split(self, lam: int) -> list["Cube"]:
-        """Partition into lam**d boxes of equal side.
-
-        Interior faces are half-open; each outermost child face reuses the
-        parent bound and closed flag, so child membership partitions parent
-        membership exactly (no atom lost or duplicated at cell boundaries).
-        """
-        d = self.dimension
-        axes = []
-        for a in range(d):
-            lo, hi = self.lo[a], self.hi[a]
-            h = (hi - lo) / lam
-            cuts = [lo + j * h for j in range(lam)] + [hi]
-            axes.append(cuts)
-        cells = []
-        for idx in np.ndindex(*([lam] * d)):
-            lo = tuple(axes[a][idx[a]] for a in range(d))
-            hi = tuple(axes[a][idx[a] + 1] for a in range(d))
-            closed = tuple(
-                self.closed_hi[a] if idx[a] == lam - 1 else False for a in range(d)
-            )
-            cells.append(Cube(lo, hi, closed))
-        return cells
 
 
 class AtomicMeasure:
@@ -137,11 +81,12 @@ class AtomicMeasure:
         return f"AtomicMeasure(n={self.n}, total={self.total_mass():g})"
 
 
-def bounding_cube(points: np.ndarray) -> Cube:
-    """Smallest axis-aligned cube containing the points, inflated by 1%.
+def bounding_cube(points) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Smallest axis-aligned cube containing the points, inflated by 1%, as
+    its (lo, hi) corners.
 
-    Equal side on every axis (centered on the data), upper faces closed.
-    A degenerate point set (single point) gets unit side.
+    Equal side on every axis (centered on the data).  A degenerate point set
+    (single point) gets unit side.
     """
     pts = np.asarray(points, dtype=float)
     lo = pts.min(axis=0)
@@ -151,7 +96,7 @@ def bounding_cube(points: np.ndarray) -> Cube:
         side = 1.0
     side *= 1.01
     center = (lo + hi) / 2.0
-    return Cube.from_bounds(center - side / 2.0, center + side / 2.0)
+    return tuple((center - side / 2.0).tolist()), tuple((center + side / 2.0).tolist())
 
 
 def diameter(points: np.ndarray) -> float:
@@ -167,17 +112,24 @@ def diameter(points: np.ndarray) -> float:
     k = math.frexp(float(span.max()))[1]
     if not -500 < k < 500:
         span = np.ldexp(span, -k)
-        return math.ldexp(float(np.sqrt(np.sum(span * span))), k)
+        try:
+            return math.ldexp(float(np.sqrt(np.sum(span * span))), k)
+        except OverflowError:  # the diagonal exceeds the largest float
+            return math.inf
     return float(np.sqrt(np.sum(span * span)))
 
 
-def check_source_targets(source_point, source_mass: float, targets: AtomicMeasure) -> None:
+def check_source_targets(source_point, source_mass: float, targets: AtomicMeasure,
+                         alpha: float) -> None:
     """Reject a target measure that a single-atom source cannot be routed onto.
 
     The targets must be non-empty, share the source's dimension, pass
     AtomicMeasure.validate, and sum to the source mass within the balance
     tolerance.  Every atom must also weigh more than that tolerance: the
     optimizers prune edges at or below it, so a lighter atom would be cut off.
+    No coordinate may exceed MAX_COORDINATE in magnitude, and the diameter of
+    source and targets and the cost of the star (one direct edge per target)
+    must be finite floats, or no cost could be compared.
     """
     if targets.n < 1:
         raise InputError("need at least one target")
@@ -198,3 +150,13 @@ def check_source_targets(source_point, source_mass: float, targets: AtomicMeasur
         raise InputError(
             f"target masses sum to {targets.total_mass()!r} but the "
             f"source supplies {source_mass!r}")
+    src = tuple(map(float, source_point))
+    pts = np.vstack([src, targets.points])
+    if np.abs(pts).max() > MAX_COORDINATE:
+        raise InputError(f"a coordinate exceeds {MAX_COORDINATE!r} in magnitude")
+    if not math.isfinite(diameter(pts)):
+        raise InputError("source and targets span more than a float can hold")
+    star = sum(m ** alpha * math.dist(src, x)
+               for x, m in zip(targets.points.tolist(), targets.masses.tolist()))
+    if not math.isfinite(star):
+        raise InputError(f"the star network's cost {star!r} is not a finite float")

@@ -6,6 +6,8 @@ their child vertex: the edge [parent(u), u] carries weight(u) units of mass
 toward u.  Vertex ids are stable and never reused.  Transient forest states
 (vertices disconnected from the root) are representable; validate_structure
 reports them, and optimization steps restore a single tree before returning.
+canonicalize takes a single tree and scans it once per call for coincident
+vertex pairs, which it merges along the tree's parent links.
 
 The transport cost with concavity exponent alpha in (0, 1] is
 cost = sum over edges of weight**alpha * length.
@@ -355,12 +357,17 @@ class TransportNetwork:
     # ---------------- canonical form ----------------
 
     def canonicalize(self, collapse_passthrough: bool = False) -> None:
-        """Normalize in place: drop negligible edges, merge vertices within
-        merge_tolerance of the bounding-box diameter, remove isolated
+        """Normalize a tree in place: drop negligible edges, merge vertices
+        within merge_tolerance of the bounding-box diameter, remove isolated
         helpers, optionally splice out exact pass-through vertices.
-        Idempotent."""
+        Idempotent.
+
+        The coincident pairs are scanned once: nothing here moves a point or
+        adds a vertex, so a later scan would find the same pairs minus those
+        that lost a vertex."""
         eps_w = mass_tolerance(self.source_mass)
         eps_merge = merge_tolerance(self.bbox_diameter())
+        pairs = self._coincident_pairs(eps_merge) if eps_merge > 0 else []
 
         changed = True
         while changed:
@@ -370,9 +377,8 @@ class TransportNetwork:
                 if self._weight[child] <= eps_w:
                     self.remove_edge(child)
                     changed = True
-            # 2. merge coincident vertices (parent-child contraction or
-            #    sibling merge; anything else cannot stay a tree)
-            if self._merge_coincident(eps_merge):
+            # 2. merge coincident vertices
+            if self._merge_coincident(pairs):
                 changed = True
             # 3. drop isolated non-root, non-terminal vertices
             for vid in self.vertices():
@@ -407,36 +413,39 @@ class TransportNetwork:
                     self.add_edge(parent, child, w)
                     again = True
 
-    def _merge_coincident(self, eps_merge: float) -> bool:
-        if eps_merge <= 0 or self.n_vertices() < 2:
-            return False
+    def _merge_coincident(self, pairs: list[tuple[int, int]]) -> bool:
+        """Take the first pair of live vertices that can merge, then start
+        over from the top of pairs, until none can.
+
+        Parent-child and sibling pairs merge.  An ancestor-descendant pair
+        is a folded path: the flow out and back is pure waste, so the lower
+        vertex lifts to its coincident ancestor, and the pair, now parent
+        and child, merges on the next pass.  Two targets stay distinct, and
+        branches that merely cross stay apart."""
         merged_any = False
-        while True:
-            did = False
-            for u, v in self._coincident_pairs(eps_merge):
-                if u not in self._points or v not in self._points:
-                    continue
-                action = self._classify_merge(u, v)
-                if action == "skip":
-                    continue
-                if action == "detour":
-                    # coincident endpoints of a folded path: the flow out and
-                    # back is pure waste, so lift the lower vertex to its
-                    # coincident ancestor; the pair becomes parent-child and
-                    # contracts on the next rescan.
-                    if self.is_descendant(v, u):
-                        self._contract_detour(u, v)
-                    else:
-                        self._contract_detour(v, u)
-                else:
-                    self._merge_pair(u, v)
-                did = True
-                break  # structure changed: rescan
-            if not did:
-                return merged_any
+        i = 0
+        while i < len(pairs):
+            u, v = pairs[i]
+            i += 1
+            if u not in self._points or v not in self._points:
+                continue
+            if u in self._terminal and v in self._terminal:
+                continue
+            pu, pv = self._parent.get(u), self._parent.get(v)
+            if pv == u or pu == v or (pu is not None and pu == pv):
+                self._merge_pair(u, v)
+            elif self.is_descendant(v, u):
+                self._contract_detour(u, v)
+            elif self.is_descendant(u, v):
+                self._contract_detour(v, u)
+            else:
+                continue
             merged_any = True
+            i = 0
+        return merged_any
 
     def _coincident_pairs(self, eps: float) -> list[tuple[int, int]]:
+        """Vertex pairs (u, v), u < v, closer than eps, in ascending (u, v)."""
         ids, pts = self.points_array()
         n = len(ids)
         # like measures.diameter, compare scaled by a power of two when
@@ -453,22 +462,9 @@ class TransportNetwork:
                 out.append((ids[i], ids[i + 1 + int(off)]))
         return out
 
-    def _classify_merge(self, u: int, v: int) -> str:
-        if u in self._terminal and v in self._terminal:
-            return "skip"  # distinct target atoms stay distinct
-        if self._parent.get(v) == u or self._parent.get(u) == v:
-            return "merge"
-        pu, pv = self._parent.get(u), self._parent.get(v)
-        if pu is not None and pu == pv:
-            return "merge"
-        if self.is_descendant(v, u) or self.is_descendant(u, v):
-            return "detour"  # folded path: reroute, then contract
-        if pu is None or pv is None:
-            return "merge"  # one side is parentless: adoption is safe
-        return "skip"  # independent branches that merely cross
-
     def _merge_pair(self, u: int, v: int) -> None:
-        """Merge two coincident vertices, keeping root or terminal identity."""
+        """Merge two coincident vertices, parent and child or siblings,
+        keeping root or terminal identity."""
         def rank(x: int) -> int:
             if x == self.root:
                 return 2
@@ -483,26 +479,15 @@ class TransportNetwork:
             # gone hangs directly below keep: contract the zero-length edge
             self.remove_edge(gone)
         elif p_keep == gone:
-            # keep hangs below gone: lift keep into gone's place
-            self.remove_edge(keep)
-            if p_gone is not None:
-                w = self._weight[gone]
-                self.remove_edge(gone)
-                self.add_edge(p_gone, keep, w)
-        elif p_gone is not None and p_gone == p_keep:
-            # siblings under one parent: fold the parallel edge weights
-            self.set_weight(keep, self._weight[keep] + self._weight[gone])
-            self.remove_edge(gone)
-        elif p_gone is None:
-            pass  # parentless helper: only its children move over
-        elif p_keep is None and keep != self.root:
+            # keep hangs below gone (never the root): lift keep into gone's place
             w = self._weight[gone]
+            self.remove_edge(keep)
             self.remove_edge(gone)
             self.add_edge(p_gone, keep, w)
         else:
-            raise InvariantViolation(
-                f"merging vertices {u} and {v} would break the tree structure",
-                network=self)
+            # siblings under one parent: fold the parallel edge weights
+            self.set_weight(keep, self._weight[keep] + self._weight[gone])
+            self.remove_edge(gone)
         for child in self._children[gone][:]:
             w = self._weight[child]
             self.remove_edge(child)

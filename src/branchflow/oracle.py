@@ -406,7 +406,7 @@ def enumerate_optimal(source: AtomicMeasure, targets: AtomicMeasure, alpha: floa
         raise InputError(f"alpha must lie in (0, 1], got {alpha}")
     src = source.points[0]
     m_total = source.total_mass()
-    check_source_targets(src, m_total, targets)
+    check_source_targets(src, m_total, targets, alpha)
     points = targets.points
     first = targets.n + 1
 

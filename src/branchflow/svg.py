@@ -5,12 +5,15 @@ Each edge becomes one <line> whose stroke width scales with carried flow,
 so trunks read thicker than leaf edges and the visual weight matches the
 cost weight; base_width is 2% of the larger viewBox side.  Targets are dots,
 the source is a contrasting square.  Output bytes depend only on the network
-and alpha: coordinates are emitted with repr (shortest round-trip form) and
-edges in child-id order.
+and alpha: numbers are rounded to 9 decimals, or to more when 1e-6 of the
+larger viewBox side needs them, and emitted with repr (shortest round-trip
+form); edges come in child-id order.
 
 Networks in d > 2 are projected onto their first two coordinates.
 """
 from __future__ import annotations
+
+import math
 
 from .network import TransportNetwork
 
@@ -19,10 +22,6 @@ TARGET_COLOR = "#111111"
 SOURCE_COLOR = "#b03a2e"
 CANVAS_WIDTH = 800.0
 MARGIN_FRACTION = 0.05
-
-
-def _fmt(x: float) -> str:
-    return repr(round(float(x), 9))
 
 
 def render_svg(net: TransportNetwork, alpha: float) -> bytes:
@@ -38,6 +37,11 @@ def render_svg(net: TransportNetwork, alpha: float) -> bytes:
 
     base = 0.02 * max(vb_w, vb_h)
     dot = 0.45 * base
+    # keep 1e-6 of the larger view side, and never fewer than 9 decimals
+    decimals = max(9, 6 - math.floor(math.log10(max(vb_w, vb_h))))
+
+    def fmt(x: float) -> str:
+        return repr(round(float(x), decimals))
 
     def xy(v: int) -> tuple[float, float]:
         p = net.point(v)
@@ -46,8 +50,8 @@ def render_svg(net: TransportNetwork, alpha: float) -> bytes:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{_fmt(vb_x)} {_fmt(vb_y)} {_fmt(vb_w)} {_fmt(vb_h)}" '
-        f'width="{_fmt(CANVAS_WIDTH)}" height="{_fmt(CANVAS_WIDTH * vb_h / vb_w)}">',
+        f'viewBox="{fmt(vb_x)} {fmt(vb_y)} {fmt(vb_w)} {fmt(vb_h)}" '
+        f'width="{fmt(CANVAS_WIDTH)}" height="{fmt(CANVAS_WIDTH * vb_h / vb_w)}">',
         f'<g stroke="{EDGE_COLOR}" stroke-linecap="round" fill="none">',
     ]
     m = net.source_mass
@@ -56,21 +60,21 @@ def render_svg(net: TransportNetwork, alpha: float) -> bytes:
         x2, y2 = xy(child)
         sw = base * (weight / m) ** alpha
         lines.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke-width="{_fmt(sw)}"/>')
+            f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
+            f'stroke-width="{fmt(sw)}"/>')
     lines.append("</g>")
 
     lines.append(f'<g fill="{TARGET_COLOR}">')
     for v in net.terminals():
         cx, cy = xy(v)
-        lines.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(dot)}"/>')
+        lines.append(f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(dot)}"/>')
     lines.append("</g>")
 
     sx, sy = xy(net.root)
     half = 1.4 * dot
     lines.append(
-        f'<rect x="{_fmt(sx - half)}" y="{_fmt(sy - half)}" '
-        f'width="{_fmt(2 * half)}" height="{_fmt(2 * half)}" '
+        f'<rect x="{fmt(sx - half)}" y="{fmt(sy - half)}" '
+        f'width="{fmt(2 * half)}" height="{fmt(2 * half)}" '
         f'fill="{SOURCE_COLOR}"/>')
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -329,6 +329,30 @@ def test_light_target_atoms_exit_2(capsys, tmp_path):
         assert "target atom 1" in err and "tolerance" in err
 
 
+def _spread(points, masses, dim=2):
+    return {"alpha": 0.5, "source": {"point": [0.0] * dim, "mass": sum(masses)},
+            "targets": [{"point": p, "mass": m} for p, m in zip(points, masses)]}
+
+
+@pytest.mark.parametrize("doc", [
+    # coordinates beyond 2**1020: the x span overflows
+    _spread([[1e308, 0.0], [-1e308, 0.1], [0.3, 1e308]], [0.25, 0.25, 0.5]),
+    # and here the star network would cost about 2.1e308
+    _spread([[1.5e308, 0.0], [-1.5e308, 0.1], [0.3, 1.5e308]], [0.25, 0.25, 0.5]),
+    # finite coordinates below 1e307, but a 100-d diagonal that overflows
+    _spread([[1e307] * 100, [-1e307] * 100], [0.5, 0.5], dim=100),
+    # heavy atoms at alpha 1: the star network costs about 1e310
+    {**_spread([[1e10, 0.0], [0.0, 1e10]], [5e299, 5e299]), "alpha": 1.0},
+], ids=["span", "coordinates", "diagonal", "star"])
+def test_overflowing_instances_exit_2(capsys, tmp_path, doc):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for command in ("solve", "init", "oracle"):
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 2 and out == "", command
+        assert err.startswith("error:"), err
+
+
 def test_broken_final_tree_exits_3(capsys, monkeypatch, spot_file):
     real = TransportNetwork.canonicalize
 

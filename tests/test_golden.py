@@ -1,4 +1,5 @@
-"""Golden outputs: `solve` JSON and SVG bytes of three small seeded instances.
+"""Golden outputs: `solve` JSON and SVG bytes of three small seeded instances,
+and the `oracle` JSON of one instance whose canonical form lifts a folded path.
 
 A refactor of the solver must leave these bytes unchanged.  An intended
 change of behaviour updates the pinned digests in the same commit and says
@@ -47,3 +48,27 @@ def test_solve_outputs_match_golden_digests(capsys, tmp_path, doc, json_sha, svg
     assert code == 0
     assert hashlib.sha256(out_json.read_bytes()).hexdigest() == json_sha
     assert hashlib.sha256(out_svg.read_bytes()).hexdigest() == svg_sha
+
+
+# certify-small instance 00056 of the benchmark's case stream at seed 1: the
+# oracle's best plan folds a path back onto an ancestor, which canonicalize
+# lifts and merges
+FOLDED = {"alpha": 0.5,
+          "source": {"point": [0.32756906260475893, 0.8167347124893564], "mass": 1.0},
+          "targets": [
+              {"point": [0.055543073007716104, 0.5221231438530336], "mass": 0.3684200790515854},
+              {"point": [0.23667551656164842, 0.5985939021558851], "mass": 0.2788733814877091},
+              {"point": [0.4123598402480996, 0.2174302938299857], "mass": 0.21262791174436776},
+              {"point": [0.4951532887467983, 0.7242584296939174], "mass": 0.14007862771633772},
+          ]}
+
+
+def test_oracle_folded_path_matches_golden_digest(capsys, tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(FOLDED))
+    out_json = tmp_path / "net.json"
+    code = cli.main(["oracle", "--input", str(inst), "--out-json", str(out_json)])
+    capsys.readouterr()
+    assert code == 0
+    assert (hashlib.sha256(out_json.read_bytes()).hexdigest()
+            == "1f364d31243872b035691b78f01715762519cde886682799fdfdcfb5ee5601c0")

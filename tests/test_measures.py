@@ -1,8 +1,9 @@
-"""Unit tests for atomic measures and dyadic cube geometry."""
+"""Unit tests for atomic measures, bounding cubes and subdivision cells."""
 import numpy as np
 import pytest
 
-from branchflow.measures import AtomicMeasure, Cube, bounding_cube, diameter
+from branchflow.construct import _subcells
+from branchflow.measures import AtomicMeasure, bounding_cube, diameter
 
 
 def test_atomic_measure_basics():
@@ -39,39 +40,78 @@ def test_validate_flags_bad_atoms():
     assert clean.validate() == []
 
 
-def test_cube_contains_half_open_faces():
-    cube = Cube.from_bounds((0.0, 0.0), (1.0, 1.0), closed_hi=(False, True))
-    assert cube.contains((0.0, 0.0))
-    assert cube.contains((0.5, 1.0))
-    assert not cube.contains((1.0, 0.5))
-    assert not cube.contains((-0.1, 0.5))
-    assert np.allclose(cube.center, [0.5, 0.5])
+class RefCube:
+    """The box splitting build_subdivision used before cells were found by
+    index: half-open [lo, hi) per axis unless the upper face is closed, the
+    outermost child faces inheriting the parent's flag."""
+
+    def __init__(self, lo, hi, closed_hi):
+        self.lo, self.hi, self.closed_hi = tuple(lo), tuple(hi), tuple(closed_hi)
+
+    def contains(self, p) -> bool:
+        for x, lo, hi, closed in zip(p, self.lo, self.hi, self.closed_hi):
+            if x < lo or x > hi or (x == hi and not closed):
+                return False
+        return True
+
+    def split(self, lam: int) -> list["RefCube"]:
+        d = len(self.lo)
+        axes = []
+        for a in range(d):
+            h = (self.hi[a] - self.lo[a]) / lam
+            axes.append([self.lo[a] + j * h for j in range(lam)] + [self.hi[a]])
+        return [RefCube([axes[a][idx[a]] for a in range(d)],
+                        [axes[a][idx[a] + 1] for a in range(d)],
+                        [self.closed_hi[a] and idx[a] == lam - 1 for a in range(d)])
+                for idx in np.ndindex(*([lam] * d))]
 
 
-def test_cube_split_partitions_points():
-    rng = np.random.default_rng(0)
-    cube = Cube.from_bounds((0.0, 0.0), (1.0, 1.0))
-    parts = cube.split(3)
-    assert len(parts) == 9
-    pts = rng.uniform(0.0, 1.0, size=(200, 2))
-    for p in pts:
-        owners = [c for c in parts if c.contains(p)]
-        assert len(owners) == 1  # half-open faces: no double counting
+def ref_subcells(cube: RefCube, lam: int, points, atom_idx):
+    out = []
+    for sub in cube.split(lam):
+        members = [i for i in atom_idx if sub.contains(points[i])]
+        if members:
+            out.append(((sub.lo, sub.hi), members))
+    return out
 
 
-def test_cube_split_3d_count():
-    cube = Cube.from_bounds((0.0,) * 3, (2.0,) * 3)
-    assert len(cube.split(2)) == 8
+def test_subcells_half_open_faces():
+    # lo 0, hi 3, lam 3: the cuts 0, 1, 2, 3 are exact
+    pts = [(0.0, 0.0), (1.0, 0.5), (2.0, 2.5), (3.0, 3.0), (0.5, 3.0), (2.999, 1.0)]
+    cells = _subcells(((0.0, 0.0), (3.0, 3.0)), 3, pts, list(range(len(pts))))
+    assert [m for _, m in cells] == [[0], [4], [1], [5], [2, 3]]
+    # an atom on an interior cut goes to the upper cell, one on the outer
+    # upper face to the last cell
+    assert cells[2][0] == ((1.0, 0.0), (2.0, 1.0))
+    assert cells[4][0] == ((2.0, 2.0), (3.0, 3.0))
+
+
+@pytest.mark.parametrize("d, lam", [(2, 3), (3, 2)])
+def test_subcells_match_the_cube_split(d, lam):
+    rng = np.random.default_rng(d)
+    for trial in range(20):
+        pts = rng.uniform(-1.0, 2.0, size=(60, d))
+        pts[:5] = np.round(pts[:5])  # atoms on cuts and faces
+        box = bounding_cube(pts)
+        idx = sorted(rng.choice(60, size=40, replace=False).tolist())
+        rows = [tuple(p) for p in pts.tolist()]
+        # two levels: the root box, then each of its cells
+        got = _subcells(box, lam, rows, idx)
+        assert got == ref_subcells(RefCube(*box, [True] * d), lam, rows, idx)
+        for sub, members in got:
+            closed = [h == box[1][a] for a, h in enumerate(sub[1])]
+            assert (_subcells(sub, lam, rows, members)
+                    == ref_subcells(RefCube(*sub, closed), lam, rows, members))
 
 
 def test_bounding_cube_covers_points():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(40, 3))
-    cube = bounding_cube(pts)
-    assert cube.dimension == 3
+    lo, hi = bounding_cube(pts)
+    assert len(lo) == len(hi) == 3
     for p in pts:
-        assert cube.contains(p)
-    sides = [h - l for l, h in zip(cube.lo, cube.hi)]
+        assert all(l <= x <= h for l, x, h in zip(lo, p, hi))
+    sides = [h - l for l, h in zip(lo, hi)]
     assert max(sides) == pytest.approx(min(sides))  # a cube, not a box
 
 

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from branchflow.config import mass_tolerance, merge_tolerance
+from branchflow.construct import build_subdivision
 from branchflow.errors import InvariantViolation
+from branchflow.instances import export_network
 from branchflow.measures import AtomicMeasure
 from branchflow.network import TransportNetwork
 
@@ -217,6 +220,172 @@ def test_canonicalize_contracts_folded_path():
     src = AtomicMeasure([[0.0, 0.0]], [1.0])
     tg = AtomicMeasure([[0.0, 0.0], [2.0, 0.0]], [0.4, 0.6])
     assert net.check_balance(src, tg).max_abs() <= 1e-12
+    assert net.validate_structure() == []
+
+
+def test_canonicalize_scans_pairs_once(monkeypatch):
+    # a coincident parent-child chain of three (a, b, c), a coincident
+    # sibling pair (helper s and target t2 under c) and a folded path
+    # root -> x -> dd with dd at the root's position
+    net = TransportNetwork((0.0, 0.0), 1.0)
+    add = net.add_vertex
+    a, b, c = add((1.0, 0.0)), add((1.0, 0.0)), add((1.0, 0.0))
+    t1, t2, t3 = add((2.0, 0.0), True), add((2.0, 1.0), True), add((3.0, 1.0), True)
+    s, x, dd, t4 = add((2.0, 1.0)), add((0.0, -1.0)), add((0.0, 0.0)), add((-1.0, 0.0), True)
+    for parent, child, w in ((net.root, a, 0.75), (a, b, 0.75), (b, c, 0.75),
+                             (c, t1, 0.25), (c, t2, 0.25), (c, s, 0.25), (s, t3, 0.25),
+                             (net.root, x, 0.25), (x, dd, 0.25), (dd, t4, 0.25)):
+        net.add_edge(parent, child, w)
+    calls = []
+    real = TransportNetwork._coincident_pairs
+
+    def counted(self, eps):
+        calls.append(eps)
+        return real(self, eps)
+
+    monkeypatch.setattr(TransportNetwork, "_coincident_pairs", counted)
+    net.canonicalize()
+    assert len(calls) == 1
+    assert net.edges() == [(net.root, a, 0.75), (a, t1, 0.25), (a, t2, 0.5),
+                           (t2, t3, 0.25), (net.root, t4, 0.25)]
+    src = AtomicMeasure([[0.0, 0.0]], [1.0])
+    tg = AtomicMeasure([[2.0, 0.0], [2.0, 1.0], [3.0, 1.0], [-1.0, 0.0]],
+                       [0.25, 0.25, 0.25, 0.25])
+    assert net.check_balance(src, tg).max_abs() <= 1e-12
+    assert net.validate_structure() == []
+
+
+def ref_canonicalize(net):
+    """canonicalize (no pass-through splicing) as it was while every merge
+    rescanned all vertex pairs, with its merge rules for forests too."""
+    eps_w = mass_tolerance(net.source_mass)
+    eps_merge = merge_tolerance(net.bbox_diameter())
+    changed = True
+    while changed:
+        changed = False
+        for child in sorted(net._parent):
+            if net._weight[child] <= eps_w:
+                net.remove_edge(child)
+                changed = True
+        if eps_merge > 0:
+            while True:
+                for u, v in net._coincident_pairs(eps_merge):
+                    if not (net.has_vertex(u) and net.has_vertex(v)):
+                        continue
+                    action = ref_classify(net, u, v)
+                    if action == "detour":
+                        if net.is_descendant(v, u):
+                            net._contract_detour(u, v)
+                        else:
+                            net._contract_detour(v, u)
+                    elif action == "merge":
+                        ref_merge_pair(net, u, v)
+                    else:
+                        continue
+                    changed = True
+                    break  # structure changed: rescan
+                else:
+                    break
+        for vid in net.vertices():
+            if vid != net.root and not net.is_terminal(vid) \
+                    and net.parent(vid) is None and not net.children(vid):
+                net.remove_vertex(vid)
+                changed = True
+
+
+def ref_classify(net, u, v):
+    if net.is_terminal(u) and net.is_terminal(v):
+        return "skip"
+    pu, pv = net.parent(u), net.parent(v)
+    if pv == u or pu == v or (pu is not None and pu == pv):
+        return "merge"
+    if net.is_descendant(v, u) or net.is_descendant(u, v):
+        return "detour"
+    if pu is None or pv is None:
+        return "merge"
+    return "skip"
+
+
+def ref_merge_pair(net, u, v):
+    def rank(x):
+        return 2 if x == net.root else 1 if net.is_terminal(x) else 0
+
+    keep, gone = (u, v) if (rank(u), -u) >= (rank(v), -v) else (v, u)
+    p_keep, p_gone = net.parent(keep), net.parent(gone)
+    if p_gone == keep:
+        net.remove_edge(gone)
+    elif p_keep == gone:
+        net.remove_edge(keep)
+        if p_gone is not None:
+            w = net.edge_mass(gone)
+            net.remove_edge(gone)
+            net.add_edge(p_gone, keep, w)
+    elif p_gone is not None and p_gone == p_keep:
+        net.set_weight(keep, net.edge_mass(keep) + net.edge_mass(gone))
+        net.remove_edge(gone)
+    elif p_keep is None and keep != net.root and p_gone is not None:
+        w = net.edge_mass(gone)
+        net.remove_edge(gone)
+        net.add_edge(p_gone, keep, w)
+    for child in net.children(gone):
+        w = net.edge_mass(child)
+        net.remove_edge(child)
+        net.add_edge(keep, child, w)
+    net.remove_vertex(gone)
+
+
+def plant_coincident(net, rng, count):
+    """Insert coincident parent-child chains, sibling pairs and folded paths
+    into a balanced tree, keeping it balanced."""
+    for _ in range(count):
+        kind = int(rng.integers(3))
+        if kind == 0:  # c gets two coincident helpers above it
+            c = int(rng.choice([v for v in net.vertices() if v != net.root]))
+            p, w = net.parent(c), net.edge_mass(c)
+            net.remove_edge(c)
+            h1, h2 = net.add_vertex(net.point(c)), net.add_vertex(net.point(c))
+            net.add_edge(p, h1, w)
+            net.add_edge(h1, h2, w)
+            net.add_edge(h2, c, w)
+        elif kind == 1:  # a coincident sibling of c takes over one child
+            inner = [v for v in net.vertices()
+                     if v != net.root and len(net.children(v)) > 1]
+            c = int(rng.choice(inner))
+            gc = net.children(c)[0]
+            wg = net.edge_mass(gc)
+            net.set_weight(c, net.edge_mass(c) - wg)
+            net.remove_edge(gc)
+            s = net.add_vertex(net.point(c))
+            net.add_edge(net.parent(c), s, wg)
+            net.add_edge(s, gc, wg)
+        else:  # the flow to c runs out to x and back to a's position
+            a = int(rng.choice([v for v in net.vertices() if net.children(v)]))
+            c = net.children(a)[0]
+            w = net.edge_mass(c)
+            net.remove_edge(c)
+            off = rng.uniform(-0.1, 0.1, size=net.dimension)
+            x = net.add_vertex(np.add(net.point(a), off))
+            dd = net.add_vertex(net.point(a))
+            net.add_edge(a, x, w)
+            net.add_edge(x, dd, w)
+            net.add_edge(dd, c, w)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_canonicalize_matches_the_rescanning_loop(seed):
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 2
+    n = int(rng.integers(10, 40))
+    masses = rng.uniform(0.1, 1.0, size=n)
+    targets = AtomicMeasure(rng.uniform(size=(n, d)), masses / masses.sum())
+    net = build_subdivision([0.5] * d, 1.0, targets, 0.5)
+    plant_coincident(net, rng, 8)
+    ref = net.copy()
+    planted = net.n_vertices()
+    net.canonicalize()
+    ref_canonicalize(ref)
+    assert export_network(net, 0.5) == export_network(ref, 0.5)
+    assert net.n_vertices() < planted
     assert net.validate_structure() == []
 
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from branchflow.construct import build_small, build_star
+from branchflow.instances import generate_points
 from branchflow.measures import AtomicMeasure
+from branchflow.optimize_global import global_optimize
 from branchflow.svg import render_svg
 
 NS = "{http://www.w3.org/2000/svg}"
@@ -68,3 +70,19 @@ def test_render_projects_higher_dimensions():
     net = build_star((0.0, 0.0, 0.0), 1.0, tg, 0.5)
     root = ET.fromstring(render_svg(net, 0.5))
     assert len(root.findall(f".//{NS}line")) == 2
+
+
+def test_render_keeps_geometry_at_small_scales():
+    # at 9 fixed decimals a 1e-8 view rounds every stroke width to 0 and
+    # every coordinate to one significant digit
+    s = 1e-8
+    pts = generate_points("uniform-square", 6, None, 1) * s
+    net = global_optimize(AtomicMeasure([[0.5 * s, 0.5 * s]], [1.0]),
+                          AtomicMeasure(pts, np.full(6, 1.0 / 6)), 0.5)
+    root = ET.fromstring(render_svg(net, 0.5))
+    lines = root.findall(f".//{NS}line")
+    assert lines and all(float(l.attrib["stroke-width"]) > 0 for l in lines)
+    circles = root.findall(f".//{NS}circle")
+    assert circles and all(float(c.attrib["r"]) > 0 for c in circles)
+    drawn = {(l.attrib[f"x{k}"], l.attrib[f"y{k}"]) for l in lines for k in (1, 2)}
+    assert len(drawn) == len({net.point(v)[:2] for v in net.vertices()})
