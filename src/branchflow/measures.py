@@ -1,8 +1,10 @@
 """Atomic measures and their bounding boxes.
 
 An atomic measure is a finite set of point masses sum(m_i * delta_{x_i}) with
-pairwise distinct points and strictly positive masses.  A bounding cube is a
-pair (lo, hi) of float tuples; construct._subcells splits one into cells.
+pairwise distinct points and strictly positive masses, kept as numpy arrays.
+A bounding cube is a pair (lo, hi) of float tuples; construct._subcells
+splits one into cells.  Bounding boxes and the input checks run on plain
+floats, and the diameter is math.hypot of the spans, which needs no rescale.
 """
 from __future__ import annotations
 
@@ -88,35 +90,24 @@ def bounding_cube(points) -> tuple[tuple[float, ...], tuple[float, ...]]:
     Equal side on every axis (centered on the data).  A degenerate point set
     (single point) gets unit side.
     """
-    pts = np.asarray(points, dtype=float)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    side = float((hi - lo).max())
+    axes = [list(map(float, axis)) for axis in zip(*points)]
+    lo = [min(axis) for axis in axes]
+    hi = [max(axis) for axis in axes]
+    side = max(h - l for l, h in zip(lo, hi))
     if side <= 0.0:
         side = 1.0
-    side *= 1.01
-    center = (lo + hi) / 2.0
-    return tuple((center - side / 2.0).tolist()), tuple((center + side / 2.0).tolist())
+    half = side * 1.01 / 2.0
+    center = [(l + h) / 2.0 for l, h in zip(lo, hi)]
+    return tuple(c - half for c in center), tuple(c + half for c in center)
 
 
-def diameter(points: np.ndarray) -> float:
-    """Diagonal length of the axis-aligned bounding box of the points.
+def diameter(points) -> float:
+    """Diagonal length of the axis-aligned bounding box of an iterable of
+    points (0.0 for none).
 
-    A box whose largest span lies outside 2**+-500 is measured scaled by a
-    power of two, which is exact, so the squared spans neither underflow
-    nor overflow."""
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        return 0.0
-    span = pts.max(axis=0) - pts.min(axis=0)
-    k = math.frexp(float(span.max()))[1]
-    if not -500 < k < 500:
-        span = np.ldexp(span, -k)
-        try:
-            return math.ldexp(float(np.sqrt(np.sum(span * span))), k)
-        except OverflowError:  # the diagonal exceeds the largest float
-            return math.inf
-    return float(np.sqrt(np.sum(span * span)))
+    math.hypot scales internally, so the spans neither underflow nor
+    overflow when squared; a diagonal past the largest float is inf."""
+    return math.hypot(*(max(axis) - min(axis) for axis in zip(*points)))
 
 
 def check_source_targets(source_point, source_mass: float, targets: AtomicMeasure,
@@ -133,7 +124,8 @@ def check_source_targets(source_point, source_mass: float, targets: AtomicMeasur
     """
     if targets.n < 1:
         raise InputError("need at least one target")
-    d = np.asarray(source_point, dtype=float).shape[0]
+    src = tuple(map(float, source_point))
+    d = len(src)
     if targets.dimension != d:
         raise InputError(
             f"source has dimension {d} but targets have dimension {targets.dimension}")
@@ -150,13 +142,12 @@ def check_source_targets(source_point, source_mass: float, targets: AtomicMeasur
         raise InputError(
             f"target masses sum to {targets.total_mass()!r} but the "
             f"source supplies {source_mass!r}")
-    src = tuple(map(float, source_point))
-    pts = np.vstack([src, targets.points])
-    if np.abs(pts).max() > MAX_COORDINATE:
+    pts = [src, *targets.points.tolist()]
+    if max(abs(x) for pt in pts for x in pt) > MAX_COORDINATE:
         raise InputError(f"a coordinate exceeds {MAX_COORDINATE!r} in magnitude")
     if not math.isfinite(diameter(pts)):
         raise InputError("source and targets span more than a float can hold")
     star = sum(m ** alpha * math.dist(src, x)
-               for x, m in zip(targets.points.tolist(), targets.masses.tolist()))
+               for x, m in zip(pts[1:], targets.masses.tolist()))
     if not math.isfinite(star):
         raise InputError(f"the star network's cost {star!r} is not a finite float")

@@ -6,8 +6,11 @@ their child vertex: the edge [parent(u), u] carries weight(u) units of mass
 toward u.  Vertex ids are stable and never reused.  Transient forest states
 (vertices disconnected from the root) are representable; validate_structure
 reports them, and optimization steps restore a single tree before returning.
-canonicalize takes a single tree and scans it once per call for coincident
-vertex pairs, which it merges along the tree's parent links.
+canonicalize takes a single tree and finds its coincident vertex pairs once
+per call, by a sweep in order of the first coordinate, then merges them along
+the tree's parent links.  Lengths are math.dist on the stored float tuples
+and the bounding-box diameter is math.hypot of the spans; both scale
+internally, so no length here overflows or underflows.
 
 The transport cost with concavity exponent alpha in (0, 1] is
 cost = sum over edges of weight**alpha * length.
@@ -17,8 +20,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .config import mass_tolerance, merge_tolerance
 from .errors import InvariantViolation
@@ -234,13 +235,8 @@ class TransportNetwork:
             queue = nxt
         return order
 
-    def points_array(self) -> tuple[list[int], np.ndarray]:
-        ids = self.vertices()
-        return ids, np.array([self._points[v] for v in ids])
-
     def bbox_diameter(self) -> float:
-        _, pts = self.points_array()
-        return diameter(pts)
+        return diameter(self._points.values())
 
     def copy(self) -> "TransportNetwork":
         dup = TransportNetwork.__new__(TransportNetwork)
@@ -300,13 +296,13 @@ class TransportNetwork:
         report = BalanceReport()
         root_key = self._points[self.root]
         for pt, mass in source.atoms():
-            key = tuple(np.asarray(pt, dtype=float).tolist())
+            key = tuple(map(float, pt))
             if key == root_key:
                 supply += mass
             else:
                 report.missing.append((key, mass))
         for pt, mass in targets.atoms():
-            key = tuple(np.asarray(pt, dtype=float).tolist())
+            key = tuple(map(float, pt))
             vid = pos_index.get(key)
             if vid is None:
                 report.missing.append((key, -mass))
@@ -445,21 +441,23 @@ class TransportNetwork:
         return merged_any
 
     def _coincident_pairs(self, eps: float) -> list[tuple[int, int]]:
-        """Vertex pairs (u, v), u < v, closer than eps, in ascending (u, v)."""
-        ids, pts = self.points_array()
-        n = len(ids)
-        # like measures.diameter, compare scaled by a power of two when
-        # eps is far from unit range, so squared offsets neither overflow
-        # nor underflow
-        k = math.frexp(eps)[1]
-        if not -500 < k < 500:
-            pts, eps = np.ldexp(pts, -k), math.ldexp(eps, -k)
+        """Vertex pairs (u, v), u < v, closer than eps, in ascending (u, v).
+
+        A sweep in order of the first coordinate: a row ends at the first
+        vertex whose first coordinate lies eps or more ahead, as no later
+        one can be closer than eps."""
+        order = sorted(self._points.items(), key=lambda item: item[1][0])
+        n = len(order)
         out = []
-        for i in range(n):
-            d = pts[i + 1:] - pts[i]
-            dist = np.sqrt(np.sum(d * d, axis=1))
-            for off in np.nonzero(dist < eps)[0]:
-                out.append((ids[i], ids[i + 1 + int(off)]))
+        for i, (u, pu) in enumerate(order):
+            x = pu[0]
+            for j in range(i + 1, n):
+                v, pv = order[j]
+                if pv[0] - x >= eps:
+                    break
+                if math.dist(pu, pv) < eps:
+                    out.append((u, v) if u < v else (v, u))
+        out.sort()
         return out
 
     def _merge_pair(self, u: int, v: int) -> None:

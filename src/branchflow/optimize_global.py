@@ -30,8 +30,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import OptimizeConfig, cost_tolerance, mass_tolerance
 from .construct import build_small, build_star, build_subdivision
 from .errors import InputError, InvariantViolation
@@ -266,8 +264,7 @@ def global_optimize(source: AtomicMeasure, targets: AtomicMeasure, alpha: float,
     build = _INITIALIZERS[config.initializer]
     net = build(src_point, src_mass, targets, alpha)
 
-    all_points = np.vstack([source.points, targets.points])
-    eps_improve = cost_tolerance(diameter(all_points), src_mass, alpha)
+    eps_improve = cost_tolerance(diameter([*source.points, *targets.points]), src_mass, alpha)
 
     cost = net.cost_m_alpha(alpha)
     for _ in range(config.max_rounds):

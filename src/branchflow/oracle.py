@@ -154,7 +154,7 @@ def _shapes_over(leaves: tuple[int, ...]) -> Iterator[Shape]:
                 yield (ls, rs)
 
 
-def _plan(shape: Shape, points: np.ndarray, masses):
+def _plan(shape: Shape, points: list, masses):
     """A topology as a _greedy_small-style plan (junctions, edges).
 
     Node 0 is the source, nodes 1..n the targets and the junctions follow in
@@ -177,7 +177,8 @@ def _plan(shape: Shape, points: np.ndarray, masses):
         node = first + len(junctions)
         junctions.append(None)
         edges.append((parent, node, mass(shape)))
-        junctions[node - first] = (walk(shape[0], node) + walk(shape[1], node)) / 2.0
+        junctions[node - first] = tuple((a + b) / 2.0 for a, b in
+                                        zip(walk(shape[0], node), walk(shape[1], node)))
         return junctions[node - first]
 
     walk(shape, 0)
@@ -407,7 +408,7 @@ def enumerate_optimal(source: AtomicMeasure, targets: AtomicMeasure, alpha: floa
     src = source.points[0]
     m_total = source.total_mass()
     check_source_targets(src, m_total, targets, alpha)
-    points = targets.points
+    points = targets.points.tolist()
     first = targets.n + 1
 
     best_cost = math.inf

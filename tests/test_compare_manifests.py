@@ -7,8 +7,11 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_manifests.py"
 
 
-def _manifest(files, costs, failed=()):
-    return {"commands": len(files), "failed": list(failed), "files": files, "costs": costs}
+def _manifest(files, costs, failed=(), structure=None):
+    doc = {"commands": len(files), "failed": list(failed), "files": files, "costs": costs}
+    if structure is not None:
+        doc["structure"] = structure
+    return doc
 
 
 def _run(tmp_path, old, new):
@@ -27,7 +30,7 @@ def test_identical_manifests_exit_zero(tmp_path):
     assert code == 0
     assert report == {"identical": 2, "changed": 0, "added": 0, "removed": 0,
                       "failed": {"old": [], "new": []},
-                      "largest_rise": None, "largest_fall": None}
+                      "largest_rise": None, "largest_fall": None, "cost_only": None}
 
 
 def test_changes_are_counted_and_the_extremes_named(tmp_path):
@@ -45,6 +48,28 @@ def test_changes_are_counted_and_the_extremes_named(tmp_path):
     assert report["failed"] == {"old": [], "new": ["c oracle: exit 3"]}
     assert report["largest_rise"] == {"instance": "a.solve.json", "rel": 0.25}
     assert report["largest_fall"] == {"instance": "b.solve.json", "rel": -0.25}
+
+
+def test_cost_only_changes_are_told_apart(tmp_path):
+    files = {"a.solve.json": "11", "b.solve.json": "22", "c.solve.json": "33", "a.svg": "44"}
+    costs = {"a.solve.json": 1.0, "b.solve.json": 2.0, "c.solve.json": 3.0}
+    old = _manifest(files, costs,
+                    structure={"a.solve.json": "s1", "b.solve.json": "s2", "c.solve.json": "s3"})
+    # a moved in the cost alone, b in its network too; c and the SVG of a
+    # are unchanged and changed without a structure digest
+    new = _manifest({**files, "a.solve.json": "1x", "b.solve.json": "2x", "a.svg": "4x"},
+                    {**costs, "a.solve.json": 1.0 + 2.0 ** -52, "b.solve.json": 1.5},
+                    structure={"a.solve.json": "s1", "b.solve.json": "s2x", "c.solve.json": "s3"})
+    code, report = _run(tmp_path, old, new)
+    assert code == 1
+    assert report["changed"] == 3
+    assert report["cost_only"] == ["a.solve.json"]
+    assert report["largest_rise"] == {"instance": "a.solve.json", "rel": 2.0 ** -52}
+    # both sides need the digests
+    code, report = _run(tmp_path, _manifest(files, costs), new)
+    assert report["cost_only"] is None
+    code, report = _run(tmp_path, old, old)
+    assert code == 0 and report["cost_only"] == []
 
 
 def test_a_failed_command_alone_fails_the_comparison(tmp_path):

@@ -1,4 +1,6 @@
 """Unit tests for atomic measures, bounding cubes and subdivision cells."""
+import math
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,11 @@ def test_bounding_cube_covers_points():
 def test_diameter_known_values():
     assert diameter(np.array([[0.0, 0.0], [3.0, 4.0]])) == pytest.approx(5.0)
     assert diameter(np.array([[1.0, 1.0]])) == 0.0
+    # any iterable of points: numpy rows, tuples, a dict's values
+    rows = np.array([[1.0, 2.0, 0.0], [3.0, 0.0, 1.0], [2.0, 1.0, -1.0]])
+    assert diameter(list(rows)) == diameter(map(tuple, rows.tolist())) \
+        == diameter(dict(enumerate(rows.tolist())).values()) == 3.4641016151377544
+    assert diameter([]) == diameter(np.zeros((0, 2))) == diameter({}.values()) == 0.0
 
 
 def test_diameter_at_extreme_scales():
@@ -125,3 +132,7 @@ def test_diameter_at_extreme_scales():
     for s in (1e-300, 1e-170, 1e170, 1e300):
         pts = np.array([[0.0, 0.0], [3.0, 4.0]]) * s
         assert diameter(pts) == pytest.approx(5.0 * s, rel=1e-15), s
+    # the diagonal passes the largest float: through an overflowing span,
+    # and from two finite spans
+    assert diameter([(-1.5e308, 0.0), (1.5e308, 0.0)]) == math.inf
+    assert diameter([(0.0, 0.0), (1.5e308, 1.5e308)]) == math.inf

@@ -399,6 +399,47 @@ def test_canonicalize_is_idempotent():
 
 def test_points_array_and_bbox():
     net, a, b, c = chain_net()
-    ids, pts = net.points_array()
-    assert pts.shape == (4, 2)
     assert net.bbox_diameter() == pytest.approx(math.sqrt(5.0))
+
+
+def ref_coincident_pairs(net, eps):
+    """Every vertex pair (u, v), u < v, closer than eps, in ascending (u, v)."""
+    ids = net.vertices()
+    return [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]
+            if math.dist(net.point(u), net.point(v)) < eps]
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+@pytest.mark.parametrize("scale", (1e-300, 1e-8, 1.0, 1e8, 1e300))
+def test_coincident_sweep_matches_all_pairs(d, scale):
+    rng = np.random.default_rng([d, round(math.log10(scale)) + 300])
+    # a power of two, so that multiples of it by small integers are exact
+    eps = 2.0 ** math.frexp(scale * 1e-3)[1]
+    base = [list(row) for row in rng.uniform(0.0, scale, size=(40, d))]
+    for row in base[:10]:  # first coordinates on the grid eps * k
+        row[0] = round(row[0] / eps) * eps
+    planted = []
+    for row in base[:10]:
+        ahead = [row[0] + eps, *row[1:]]  # first coordinates exactly eps apart
+        planted += [row[:], ahead, [row[0] + eps, *(x + 0.5 * eps for x in row[1:])]]
+    for row in base[10:25]:
+        u = rng.normal(size=d)
+        r = rng.uniform(0.05, 0.99) * eps
+        planted.append([x + r * ux / np.linalg.norm(u) for x, ux in zip(row, u)])
+        planted.append([row[0] + 0.75 * eps, *(x + 0.125 * eps for x in row[1:])])
+        # a tie in the first coordinate, near or far in the others
+        planted.append([row[0], *(x + rng.uniform(-2.0, 2.0) * eps for x in row[1:])])
+    points = base + planted
+    rng.shuffle(points)
+    net = TransportNetwork(points[0], 1.0)
+    for pt in points[1:]:
+        net.add_vertex(pt)
+    want = ref_coincident_pairs(net, eps)
+    assert net._coincident_pairs(eps) == want
+    # the planted cases are there: exact copies, pairs whose first
+    # coordinates differ by more than eps / 2, and pairs exactly eps apart
+    gaps = [net.point(v)[0] - net.point(u)[0] for u, v in want]
+    assert any(g == 0.0 for g in gaps) and any(abs(g) > eps / 2 for g in gaps)
+    ids = net.vertices()
+    assert sum(math.dist(net.point(u), net.point(v)) == eps
+               for i, u in enumerate(ids) for v in ids[i + 1:]) >= 10

@@ -4,11 +4,14 @@
 
 Prints JSON with the number of files that are identical, changed, added
 (only in NEW) and removed (only in OLD); the commands that failed on either
-side; and the largest cost rise and fall from OLD to NEW among the outputs
-both sides have, relative to the OLD cost (absolute when that is 0), each
-with the output it belongs to (null when no cost rose, or none fell).  The
-exit status is 0 only when every file is identical and no command failed on
-either side, as a refactor requires; 1 otherwise, and 2 on a usage error.
+side; the largest cost rise and fall from OLD to NEW among the outputs both
+sides have, relative to the OLD cost (absolute when that is 0), each with
+the output it belongs to (null when no cost rose, or none fell); and
+`cost_only`, the changed network JSON files whose structure digests match,
+that is whose documents differ in the cost alone (null when either manifest
+has no structure digests).  The exit status is 0 only when every file is
+identical and no command failed on either side, as a refactor requires; 1
+otherwise, and 2 on a usage error.
 """
 from __future__ import annotations
 
@@ -21,6 +24,11 @@ def compare(old: dict, new: dict) -> dict:
     old_files, new_files = old["files"], new["files"]
     shared = old_files.keys() & new_files.keys()
     identical = sum(old_files[k] == new_files[k] for k in shared)
+    cost_only = None
+    if "structure" in old and "structure" in new:
+        old_doc, new_doc = old["structure"], new["structure"]
+        cost_only = sorted(k for k in old_doc.keys() & new_doc.keys()
+                           if old_files[k] != new_files[k] and old_doc[k] == new_doc[k])
     moves = [((new["costs"][k] - old["costs"][k]) / (abs(old["costs"][k]) or 1.0), k)
              for k in sorted(old["costs"].keys() & new["costs"].keys())
              if new["costs"][k] != old["costs"][k]]
@@ -32,6 +40,7 @@ def compare(old: dict, new: dict) -> dict:
         "failed": {"old": old["failed"], "new": new["failed"]},
         "largest_rise": _entry(max((m for m in moves if m[0] > 0), default=None)),
         "largest_fall": _entry(min((m for m in moves if m[0] < 0), default=None)),
+        "cost_only": cost_only,
     }
 
 

@@ -18,8 +18,11 @@ algorithm change lists the per-instance costs.
     python3 tools/solve_manifest.py > manifest.json
 
 The manifest is JSON with sorted keys: the command count, the commands that
-failed (the exit status is 1 when any did), each file's sha256 and each
-network's cost.  `tools/compare_manifests.py OLD NEW` compares two of them.
+failed (the exit status is 1 when any did), each file's sha256, each
+network's cost, and each network's structure digest: the sha256 of its
+document without the `cost` key, in sorted-key compact JSON, so that a change
+that only rounds the cost sum differently keeps it.
+`tools/compare_manifests.py OLD NEW` compares two of them.
 """
 from __future__ import annotations
 
@@ -72,6 +75,7 @@ def _commands(work: Path):
 def build_manifest() -> dict:
     files: dict[str, str] = {}
     costs: dict[str, float] = {}
+    structure: dict[str, str] = {}
     failed: list[str] = []
     commands = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -91,8 +95,12 @@ def build_manifest() -> dict:
                 blob = out.read_bytes()
                 files[label + suffix] = hashlib.sha256(blob).hexdigest()
                 if suffix.endswith(".json"):
-                    costs[label + suffix] = json.loads(blob)["cost"]
-    return {"commands": commands, "failed": failed, "files": files, "costs": costs}
+                    doc = json.loads(blob)
+                    costs[label + suffix] = doc.pop("cost")
+                    structure[label + suffix] = hashlib.sha256(
+                        json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+    return {"commands": commands, "failed": failed, "files": files, "costs": costs,
+            "structure": structure}
 
 
 def main() -> int:
