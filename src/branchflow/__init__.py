@@ -19,7 +19,6 @@ from .bifurcation import (
     objective_f,
     solve_two_targets,
 )
-from .config import INITIALIZERS, OptimizeConfig
 from .construct import build_small, build_star, build_subdivision
 from .errors import (
     BranchflowError,
@@ -59,11 +58,9 @@ __all__ = [
     "BranchflowError",
     "DegenerateInputError",
     "GENERATORS",
-    "INITIALIZERS",
     "InputError",
     "Instance",
     "InvariantViolation",
-    "OptimizeConfig",
     "TransportNetwork",
     "advantage",
     "balance_residual",

@@ -7,27 +7,15 @@ JSON for diagnosis).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
 
-from .config import INITIALIZERS, REL_TOL, OptimizeConfig
 from .errors import InputError, InvariantViolation
 from .instances import export_network, import_network, parse_instance
 from .optimize_global import _INITIALIZERS, global_optimize
 from .oracle import enumerate_optimal
 from .svg import render_svg
-
-
-def _positive(kind):
-    """argparse type: kind(text), which must be finite and > 0."""
-    def parse(text: str):
-        val = kind(text)
-        if not (math.isfinite(val) and val > 0):
-            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-        return val
-    return parse
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
@@ -95,10 +83,7 @@ def _emit(net, alpha: float, args: argparse.Namespace) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args)
-    config = OptimizeConfig(rel_tol=args.rel_tol, max_rounds=args.max_rounds,
-                            subdivide_factor=args.subdivide_factor,
-                            initializer=args.initializer)
-    net = global_optimize(inst.source_measure(), inst.targets, inst.alpha, config)
+    net = global_optimize(inst.source_measure(), inst.targets, inst.alpha, args.initializer)
     _emit(net, inst.alpha, args)
     return 0
 
@@ -138,16 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the full optimization pipeline")
     _add_instance_flags(p)
     _add_output_flags(p)
-    p.add_argument("--max-rounds", type=_positive(int), default=50)
-    p.add_argument("--rel-tol", type=_positive(float), default=REL_TOL)
-    p.add_argument("--subdivide-factor", type=_positive(float), default=2.0)
-    p.add_argument("--initializer", choices=INITIALIZERS, default="subdivision")
+    p.add_argument("--initializer", choices=_INITIALIZERS, default="subdivision")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("init", help="construct an initial network only")
     _add_instance_flags(p)
     _add_output_flags(p)
-    p.add_argument("--initializer", choices=INITIALIZERS, default="subdivision")
+    p.add_argument("--initializer", choices=_INITIALIZERS, default="subdivision")
     p.set_defaults(func=_cmd_init)
 
     p = sub.add_parser("oracle", help="brute-force optimum for N <= 4 targets")

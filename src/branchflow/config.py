@@ -1,4 +1,4 @@
-"""Run configuration and scale-derived tolerances.
+"""Scale-derived tolerances.
 
 All tolerances are relative to instance scale: mass tolerances scale with the
 total source mass, geometric tolerances with the bounding-box diameter, and
@@ -6,30 +6,7 @@ cost tolerances with diameter * mass**alpha.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-REL_TOL = 1e-9
-
-INITIALIZERS = ("subdivision", "star", "small")
-
-
-@dataclass
-class OptimizeConfig:
-    """Settings of the optimization pipeline; each backs a `solve` flag."""
-
-    rel_tol: float = REL_TOL
-    max_rounds: int = 50
-    subdivide_factor: float = 2.0
-    initializer: str = "subdivision"
-
-    def validate(self) -> None:
-        if self.initializer not in INITIALIZERS:
-            raise ValueError(f"unknown initializer {self.initializer!r}")
-        if not (0 < self.rel_tol < math.inf and 0 < self.subdivide_factor < math.inf):
-            raise ValueError("tolerances and factors must be finite and positive")
-        if type(self.max_rounds) is not int or self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
+REL_TOL = 1e-9  # a sweep or round gaining less, relative to its cost, stalls
 
 
 def mass_tolerance(total_mass: float) -> float:

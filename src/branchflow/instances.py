@@ -26,6 +26,11 @@ from .network import TransportNetwork
 
 GENERATORS = ("uniform-square", "circle", "disk-random", "disk-uniform")
 
+# largest coordinate in a network document: build_subdivision's helpers can
+# lie past the instance bound MAX_COORDINATE = 2**1020, up to about 2.01 times
+# it, and below 2**1022 every per-axis span is a finite float
+MAX_NETWORK_COORDINATE = 2.0 ** 1022
+
 DEFAULT_SEED = 0
 
 
@@ -289,10 +294,10 @@ def import_network(data: bytes | str) -> tuple[TransportNetwork, float]:
     The root is the unique vertex with no incoming edge and must carry id 0,
     as every export from this package does.  Childless vertices are marked
     terminal; the schema does not record flow-through target identity.
-    Anything but one tree over finite coordinates, with weights > 0, no
-    vertex sending out more than it receives (beyond the mass tolerance of
-    the root's outflow) and alpha in (0, 1], raises InputError, and so do
-    bytes that are not UTF-8.
+    Anything but one tree over coordinates of magnitude at most
+    MAX_NETWORK_COORDINATE, with weights > 0, no vertex sending out more
+    than it receives (beyond the mass tolerance of the root's outflow) and
+    alpha in (0, 1], raises InputError, and so do bytes that are not UTF-8.
     """
     data = _text(data)
     try:
@@ -311,8 +316,9 @@ def import_network(data: bytes | str) -> tuple[TransportNetwork, float]:
             if vid in vertices:
                 raise InputError(f"duplicate vertex id {vid}")
             vertices[vid] = _point(v["coords"], f"vertex {vid} coords")
-            if not np.all(np.isfinite(vertices[vid])):
-                raise InputError(f"vertex {vid} coords must be finite")
+            if not np.all(np.abs(vertices[vid]) <= MAX_NETWORK_COORDINATE):  # nan fails too
+                raise InputError(f"vertex {vid} coords must be finite and at most "
+                                 f"{MAX_NETWORK_COORDINATE!r} in magnitude")
         edges = []
         for e in doc["edges"]:
             p, c = e["from"], e["to"]

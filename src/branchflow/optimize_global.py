@@ -30,12 +30,15 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .config import OptimizeConfig, cost_tolerance, mass_tolerance
+from .config import REL_TOL, cost_tolerance, mass_tolerance
 from .construct import build_small, build_star, build_subdivision
 from .errors import InputError, InvariantViolation
 from .measures import AtomicMeasure, diameter
 from .network import TransportNetwork
 from .optimize_local import local_sweep
+
+MAX_ROUNDS = 50  # a cap: a round that stops paying ends the loop first
+SUBDIVIDE_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,8 @@ def potential(net: TransportNetwork, u: int, t: float, alpha: float) -> float:
     return total
 
 
-def subdivide_long_edges(net: TransportNetwork, config: OptimizeConfig) -> list[int]:
-    """Split every edge much longer than the mean at its midpoint.
+def subdivide_long_edges(net: TransportNetwork) -> list[int]:
+    """Split every edge over SUBDIVIDE_FACTOR x the mean at its midpoint.
 
     The midpoints are pass-through vertices that cost nothing but give the
     reparent pass attachment points along long corridors.  Returns the new
@@ -71,7 +74,7 @@ def subdivide_long_edges(net: TransportNetwork, config: OptimizeConfig) -> list[
         return []
     lengths = [net.edge_length(child) for _, child, _ in edges]
     mean = sum(lengths) / len(lengths)
-    threshold = config.subdivide_factor * mean
+    threshold = SUBDIVIDE_FACTOR * mean
     cap = 20 * max(1, len(net.terminals()))
     created: list[int] = []
     for (parent, child, w), length in zip(edges, lengths):
@@ -242,18 +245,19 @@ def _check_result(net: TransportNetwork, source: AtomicMeasure,
 
 
 def global_optimize(source: AtomicMeasure, targets: AtomicMeasure, alpha: float,
-                    config: OptimizeConfig | None = None) -> TransportNetwork:
+                    initializer: str = "subdivision") -> TransportNetwork:
     """Full pipeline: construct, then loop local sweeps, edge subdivision and
     reparent passes until a round stops paying; finish canonical.  Raises
     InvariantViolation when the result is not one tree that delivers every
-    target atom with the flow balanced within the mass tolerance.
+    target atom with the flow balanced within the mass tolerance, and
+    ValueError for an initializer that is not in _INITIALIZERS.
 
     At alpha = 1 branching never pays, so the loop skips subdivision and
     reparenting and the local sweeps flatten everything onto the source.
     """
-    if config is None:
-        config = OptimizeConfig()
-    config.validate()
+    build = _INITIALIZERS.get(initializer)
+    if build is None:
+        raise ValueError(f"unknown initializer {initializer!r}")
     if source.n != 1:
         raise InputError("the source must be a single atom")
     if not (0.0 < alpha <= 1.0):
@@ -261,25 +265,24 @@ def global_optimize(source: AtomicMeasure, targets: AtomicMeasure, alpha: float,
 
     src_point = source.points[0]
     src_mass = source.total_mass()
-    build = _INITIALIZERS[config.initializer]
     net = build(src_point, src_mass, targets, alpha)
 
     eps_improve = cost_tolerance(diameter([*source.points, *targets.points]), src_mass, alpha)
 
     cost = net.cost_m_alpha(alpha)
-    for _ in range(config.max_rounds):
+    for _ in range(MAX_ROUNDS):
         round_snapshot = net.copy()
         round_start = cost
-        local_sweep(net, alpha, config, eps_improve=eps_improve)
+        local_sweep(net, alpha, eps_improve)
         if alpha != 1.0:
-            subdivide_long_edges(net, config)
+            subdivide_long_edges(net)
             reparent_pass(net, alpha, eps_improve)
         cost = net.cost_m_alpha(alpha)
         improvement = round_start - cost
         if improvement <= 0.0:
             net.restore_from(round_snapshot)
             break
-        if improvement <= config.rel_tol * max(abs(round_start), 1e-300):
+        if improvement <= REL_TOL * max(abs(round_start), 1e-300):
             break
 
     net.canonicalize(collapse_passthrough=True)

@@ -11,7 +11,7 @@ a local minimum.
 """
 from __future__ import annotations
 
-from .config import OptimizeConfig, mass_tolerance
+from .config import REL_TOL, mass_tolerance
 from .construct import _greedy_small, _wire, plan_cost
 from .network import TransportNetwork
 
@@ -72,8 +72,8 @@ def improve_vertex(net: TransportNetwork, u: int, alpha: float, eps_improve: flo
     return True
 
 
-def local_sweep(net: TransportNetwork, alpha: float, config: OptimizeConfig,
-                eps_improve: float, on_sweep=None) -> float:
+def local_sweep(net: TransportNetwork, alpha: float, eps_improve: float,
+                on_sweep=None) -> float:
     """Sweep improve_vertex over the tree until a full pass stops paying,
     at most MAX_LOCAL_SWEEPS times.
 
@@ -100,7 +100,7 @@ def local_sweep(net: TransportNetwork, alpha: float, config: OptimizeConfig,
         new_cost = net.cost_m_alpha(alpha)
         if on_sweep is not None:
             on_sweep(net)
-        stalled = cost - new_cost <= config.rel_tol * max(abs(cost), 1e-300)
+        stalled = cost - new_cost <= REL_TOL * max(abs(cost), 1e-300)
         cost = new_cost
         if not improved or stalled:
             break

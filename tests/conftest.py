@@ -40,11 +40,11 @@ class MoveRecorder:
         at every checkpoint; earlier events are dropped."""
         self.alpha, self.inspect, self.events = alpha, inspect, []
 
-    def solve(self, source, targets, alpha: float, config=None, inspect=None):
+    def solve(self, source, targets, alpha: float, inspect=None):
         """global_optimize with events recorded, ending on a "final"
         checkpoint of the returned network."""
         self.start(alpha, inspect)
-        net = optimize_global.global_optimize(source, targets, alpha, config)
+        net = optimize_global.global_optimize(source, targets, alpha)
         self.checkpoint("final", net)
         return net
 

@@ -6,13 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import branchflow
 from branchflow import cli, optimize_global
-from branchflow.config import INITIALIZERS
 from branchflow.errors import InvariantViolation
 from branchflow.instances import export_network, import_network, parse_instance
+from branchflow.measures import MAX_COORDINATE
 from branchflow.network import TransportNetwork
 
 SPOT = {
@@ -132,7 +133,7 @@ def test_init_star_initializer(capsys, spot_file):
 
 def test_init_matches_each_builder(capsys, spot_file):
     inst = parse_instance(Path(spot_file).read_bytes(), "json")
-    for name in INITIALIZERS:
+    for name in optimize_global._INITIALIZERS:
         code, out, _ = run_cli(capsys, "init", "--input", spot_file, "--initializer", name)
         assert code == 0
         build = optimize_global._INITIALIZERS[name]
@@ -161,6 +162,26 @@ def test_render_subcommand(capsys, tmp_path, spot_file):
                            "--out-svg", str(svg_path))
     assert code == 0
     assert svg_path.read_bytes().count(b"<line") > 0
+
+    # a network at the instance bound renders, and so does the `init` network
+    # of ten targets along y = MAX_COORDINATE, which plants a helper past it
+    net_path.write_text(json.dumps(_network(
+        [(0, 1, 1.0)], coords={0: [-MAX_COORDINATE, 0.0], 1: [MAX_COORDINATE, 0.0]},
+        ids=(0, 1))))
+    edge = tmp_path / "edge.json"
+    edge.write_text(json.dumps({
+        "alpha": 0.5, "source": {"point": [0.0, 0.0], "mass": 1.0},
+        "targets": [{"point": [x * MAX_COORDINATE, MAX_COORDINATE], "mass": 0.1}
+                    for x in np.linspace(-1.0, 1.0, 10)]}))
+    init_path = tmp_path / "init.json"
+    assert run_cli(capsys, "init", "--input", str(edge), "--out-json", str(init_path))[0] == 0
+    coords = [x for v in json.loads(init_path.read_text())["vertices"] for x in v["coords"]]
+    assert max(map(abs, coords)) > MAX_COORDINATE
+    for path in (net_path, init_path):
+        code, _, err = run_cli(capsys, "render", "--input", str(path),
+                               "--out-svg", str(svg_path))
+        assert code == 0, err
+        assert svg_path.read_bytes().count(b"<line") > 0
 
 
 def _network(edges, coords=None, alpha=0.5, ids=(0, 1, 2, 3)):
@@ -192,6 +213,11 @@ NOT_UTF8 = b"\xff\xfe"
     _network(TREE, alpha=7),
     _network(TREE, alpha=float("nan")),
     _network([(0, 1, 1.0), (1, 2, 5.0)], ids=(0, 1, 2)),
+    # finite coordinates whose spans overflow
+    pytest.param(_network([(0, 1, 1.0)], coords={0: [-1e308, 0.0], 1: [1e308, 0.0]},
+                          ids=(0, 1)), id="span-overflow"),
+    pytest.param(_network([(0, 1, 1.0)], coords={0: [0.0, 0.0], 1: [1.7e308, 1.7e308]},
+                          ids=(0, 1)), id="coords-past-bound"),
     pytest.param(NOT_UTF8, id="not-utf8"),
 ])
 def test_render_rejects_malformed_networks(capsys, monkeypatch, doc):
@@ -202,6 +228,7 @@ def test_render_rejects_malformed_networks(capsys, monkeypatch, doc):
     assert err.startswith("error:"), err
 
 
+# the flags of the solver settings that are now constants: each is unknown
 @pytest.mark.parametrize("flag, value", [
     ("--max-rounds", "0"), ("--rel-tol", "-1"), ("--subdivide-factor", "0"),
     ("--rel-tol", "nan"), ("--rel-tol", "inf"), ("--subdivide-factor", "nan"),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from branchflow import optimize_global
-from branchflow.config import INITIALIZERS, OptimizeConfig, cost_tolerance
 from branchflow.construct import build_subdivision
 from branchflow.errors import InputError
 from branchflow.instances import export_network, generate_points
@@ -48,13 +47,14 @@ def test_potential_chain_values():
 
 
 def test_subdivide_long_edges_midpoints():
+    # lengths 10, 0.5 and 0.5: only the first exceeds twice their mean
     net = TransportNetwork((0.0, 0.0), 1.0)
     far = net.add_vertex((10.0, 0.0), terminal=True)
-    near = net.add_vertex((0.0, 0.5), terminal=True)
     net.add_edge(net.root, far, 0.5)
-    net.add_edge(net.root, near, 0.5)
+    for y in (0.5, -0.5):
+        net.add_edge(net.root, net.add_vertex((0.0, y), terminal=True), 0.25)
     before = net.cost_m_alpha(0.5)
-    created = subdivide_long_edges(net, OptimizeConfig(subdivide_factor=1.5))
+    created = subdivide_long_edges(net)
     assert len(created) == 1
     mid = created[0]
     assert np.allclose(net.point(mid), [5.0, 0.0])
@@ -70,7 +70,15 @@ def test_subdivide_long_edges_midpoints():
         tip = helper
     leaf = capped.add_vertex((10.0, 0.0), terminal=True)
     capped.add_edge(tip, leaf, 1.0)
-    assert subdivide_long_edges(capped, OptimizeConfig()) == []
+    assert subdivide_long_edges(capped) == []
+
+
+def plant_midpoints(net):
+    """subdivide_long_edges at factor 1.0, which plants more midpoints than
+    the solver's 2.0 and so gives the reparent search more candidates."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize_global, "SUBDIVIDE_FACTOR", 1.0)
+        subdivide_long_edges(net)
 
 
 def reparent_scenario():
@@ -150,7 +158,7 @@ def test_evaluate_reparent_matches_brute_force():
         pts = rng.uniform(0.0, 1.0, size=(25, 2))
         ms = rng.uniform(0.1, 1.0, size=25)
         net = build_subdivision((0.0, 0.0), float(ms.sum()), AtomicMeasure(pts, ms), alpha)
-        subdivide_long_edges(net, OptimizeConfig(subdivide_factor=1.0))
+        plant_midpoints(net)
         for u in net.vertices():
             if u == net.root:
                 continue
@@ -227,7 +235,7 @@ def _subdivision_net(dim, alpha, seed, n=20):
     rng = np.random.default_rng(seed)
     tg = AtomicMeasure(rng.uniform(0.0, 1.0, size=(n, dim)), rng.uniform(0.1, 1.0, size=n))
     net = build_subdivision(np.full(dim, 0.5), float(tg.masses.sum()), tg, alpha)
-    subdivide_long_edges(net, OptimizeConfig(subdivide_factor=1.0))
+    plant_midpoints(net)
     return net
 
 
@@ -412,18 +420,14 @@ def test_global_optimize_deterministic():
 
 def test_global_optimize_initializers_on_spot():
     for init in ("subdivision", "small"):
-        net = global_optimize(SPOT_SRC, SPOT_TG, 0.5, OptimizeConfig(initializer=init))
+        net = global_optimize(SPOT_SRC, SPOT_TG, 0.5, initializer=init)
         assert net.cost_m_alpha(0.5) == pytest.approx(3.0, abs=1e-9), init
     # the bare V shape is a genuine fixed point of the move set: no junction
     # vertex exists to rebuild, both edges sit at the mean length, and moving
     # either leaf below the other is strictly worse
-    net = global_optimize(SPOT_SRC, SPOT_TG, 0.5, OptimizeConfig(initializer="star"))
+    net = global_optimize(SPOT_SRC, SPOT_TG, 0.5, initializer="star")
     assert net.cost_m_alpha(0.5) == pytest.approx(math.sqrt(10.0), abs=1e-9)
     assert net.validate_structure() == []
-
-
-def test_initializer_table_matches_config_names():
-    assert set(optimize_global._INITIALIZERS) == set(INITIALIZERS)
 
 
 def test_global_optimize_input_errors():
@@ -432,20 +436,7 @@ def test_global_optimize_input_errors():
     with pytest.raises(InputError):
         global_optimize(SPOT_SRC, SPOT_TG, 1.5)
     with pytest.raises(ValueError):
-        global_optimize(SPOT_SRC, SPOT_TG, 0.5, OptimizeConfig(initializer="nope"))
-
-
-@pytest.mark.parametrize("field", ["rel_tol", "subdivide_factor", "max_rounds"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_config_rejects_non_finite(field, value):
-    with pytest.raises(ValueError):
-        OptimizeConfig(**{field: value}).validate()
-
-
-@pytest.mark.parametrize("value", [2.5, True, 0])
-def test_config_rejects_non_integer_max_rounds(value):
-    with pytest.raises(ValueError):
-        OptimizeConfig(max_rounds=value).validate()
+        global_optimize(SPOT_SRC, SPOT_TG, 0.5, initializer="nope")
 
 
 def test_solve_cost_scales_past_the_squared_range():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from branchflow import optimize_local
-from branchflow.config import OptimizeConfig, cost_tolerance
+from branchflow.config import REL_TOL, cost_tolerance
 from branchflow.construct import _greedy_small, _wire, build_subdivision
 from branchflow.instances import export_network
 from branchflow.measures import AtomicMeasure
@@ -117,7 +117,7 @@ def test_local_sweep_monotone_and_balanced(recorder):
     net = build_subdivision((0.5, 0.5), m, tg, 0.5)
     eps = cost_tolerance(net.bbox_diameter(), m, 0.5)
     recorder.start(0.5)
-    final = local_sweep(net, 0.5, OptimizeConfig(), eps_improve=eps)
+    final = local_sweep(net, 0.5, eps_improve=eps)
     trace = recorder.events
     assert final == pytest.approx(net.cost_m_alpha(0.5), rel=1e-12)
     for stage, _, before, after in trace:
@@ -137,7 +137,7 @@ def test_local_sweep_counts_sweeps():
     net = build_subdivision((0.0, 0.0), 1.0, tg, 0.75)
     seen = []
     eps = cost_tolerance(net.bbox_diameter(), 1.0, 0.75)
-    local_sweep(net, 0.75, OptimizeConfig(), eps, on_sweep=lambda n: seen.append(n.cost_m_alpha(0.75)))
+    local_sweep(net, 0.75, eps, on_sweep=lambda n: seen.append(n.cost_m_alpha(0.75)))
     assert seen, "sweep callback never fired"
     assert all(seen[i] >= seen[i + 1] - 1e-12 for i in range(len(seen) - 1))
 
@@ -221,7 +221,7 @@ def _star_key(net, u):
             tuple((c, net.edge_mass(c)) for c in net.children(u)))
 
 
-def _sweep_every_vertex(net, alpha, eps, config):
+def _sweep_every_vertex(net, alpha, eps):
     """local_sweep without the skip: improve_vertex on every vertex of every
     sweep, the reference the skipping sweep must reproduce."""
     cost = net.cost_m_alpha(alpha)
@@ -231,7 +231,7 @@ def _sweep_every_vertex(net, alpha, eps, config):
             if net.has_vertex(u) and improve_vertex(net, u, alpha, eps):
                 improved = True
         new_cost = net.cost_m_alpha(alpha)
-        stalled = cost - new_cost <= config.rel_tol * max(abs(cost), 1e-300)
+        stalled = cost - new_cost <= REL_TOL * max(abs(cost), 1e-300)
         cost = new_cost
         if not improved or stalled:
             break
@@ -242,7 +242,7 @@ def _sweep_every_vertex(net, alpha, eps, config):
 def test_sweep_skips_only_repeated_rejections(recorder, dim, alpha):
     net, eps = _random_subdivision(dim, alpha, 30 + dim)
     reference = net.copy()
-    want_cost = _sweep_every_vertex(reference, alpha, eps, OptimizeConfig())
+    want_cost = _sweep_every_vertex(reference, alpha, eps)
 
     calls = recorder.calls
     last = {}  # vertex -> (star key, result) of the latest call on it
@@ -268,7 +268,7 @@ def test_sweep_skips_only_repeated_rejections(recorder, dim, alpha):
                 assert export_network(probe, alpha) == before
 
     net.bfs_order = bfs_order
-    cost = local_sweep(net, alpha, OptimizeConfig(), eps)
+    cost = local_sweep(net, alpha, eps)
     assert len(skipped) > len(calls) / 2
     assert cost == want_cost
     assert export_network(net, alpha) == export_network(reference, alpha)
@@ -289,7 +289,7 @@ def _two_sweeps(monkeypatch, recorder, net, alpha, eps, edit=None):
                 edit(net_)
         ends.append(len(recorder.calls))
 
-    local_sweep(net, alpha, OptimizeConfig(), eps, on_sweep=on_sweep)
+    local_sweep(net, alpha, eps, on_sweep=on_sweep)
     assert len(ends) == 3, "the first sweep stalled"
     first, second = (recorder.calls[a:b] for a, b in zip(ends, ends[1:]))
     return first, second, after_first[0]
@@ -347,7 +347,7 @@ def test_restored_snapshot_is_scored_in_full(monkeypatch, recorder):
         reached.append([])
 
     net.bfs_order = bfs_order
-    local_sweep(net, alpha, OptimizeConfig(), eps, on_sweep=on_sweep)
+    local_sweep(net, alpha, eps, on_sweep=on_sweep)
     assert len(ends) == 3, "the first sweep stalled"
     # (vertex, accepted) per improve_vertex call, per sweep
     calls = [recorder.calls[a:b] for a, b in zip(ends, ends[1:])]

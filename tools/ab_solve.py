@@ -13,8 +13,8 @@ The instances are the first COUNT of `perfbench`'s `CaseStream` at seed 1 for
 `tools/solve_manifest.py` also uses; `perfbench` is only read.  Each side
 parses each instance with its own `parse_instance` and runs it REPEATS
 times, alternating which side goes first, and keeps its minimum time per
-instance.  The solve workloads time `global_optimize` with the default
-`OptimizeConfig`; `certify-small` times the exhaustive oracle,
+instance.  The solve workloads time `global_optimize` with its default
+initializer; `certify-small` times the exhaustive oracle,
 `enumerate_optimal`.
 
 Prints JSON per workload: the summed minima of both sides in seconds, their
