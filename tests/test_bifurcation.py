@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from branchflow.bifurcation import (
+    MASS_TERMS_CACHE,
     BifurcationInput,
     BranchCase,
     advantage,
     balance_residual,
+    _mass_terms,
     branch_angles,
     objective_f,
     solve_two_targets,
 )
+from branchflow.errors import DegenerateInputError
 
 SPOT = BifurcationInput(o=(0.0, 0.0), p=(2.0, 1.0), q=(2.0, -1.0),
                         m_p=0.5, m_q=0.5, alpha=0.5)
@@ -161,3 +164,37 @@ def test_input_validation():
     with pytest.raises(ValueError):
         BifurcationInput(o=(0.0, 0.0), p=(1.0, 0.0, 0.0), q=(0.0, 1.0),
                          m_p=0.5, m_q=0.5, alpha=0.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("m_p", math.nan),           # gave cost nan
+    ("m_q", math.inf),           # raised ZeroDivisionError
+    ("p", (math.inf, 1.0)),      # raised DegenerateInputError: targets coincide
+    ("q", (2.0, math.nan)),      # gave cost nan
+])
+def test_non_finite_input_rejected(field, value):
+    fields = {"o": SPOT.o, "p": SPOT.p, "q": SPOT.q, "m_p": SPOT.m_p, "m_q": SPOT.m_q,
+              "alpha": SPOT.alpha, field: value}
+    with pytest.raises(ValueError) as err:
+        solve_two_targets(BifurcationInput(**fields))
+    assert not isinstance(err.value, DegenerateInputError)
+
+
+def test_mass_terms_memo_bounded_and_transparent():
+    """More distinct mass splits than the memo holds: it never grows past its
+    size, and every answer, hit or miss, is the fresh computation."""
+    rng = np.random.default_rng(8)
+    keys = [(*rng.uniform(0.01, 2.0, size=2).tolist(), float(rng.uniform(0.05, 1.0)))
+            for _ in range(MASS_TERMS_CACHE + 200)]
+    keys += [(0.5, 0.5, 1.0), (3, 1, 0.5)]
+    hits = _mass_terms.cache_info().hits
+    for m_p, m_q, alpha in keys + keys[-300:]:  # the repeats are hits
+        m_o = m_p + m_q
+        want = (branch_angles(m_p, m_q, m_o, alpha), m_o ** alpha, m_p ** alpha, m_q ** alpha)
+        assert _mass_terms(m_p, m_q, alpha) == want
+        assert _mass_terms.cache_info().currsize <= MASS_TERMS_CACHE
+    assert _mass_terms.cache_info().hits - hits >= 300
+    assert _mass_terms.cache_info().maxsize == MASS_TERMS_CACHE
+    # a numpy split is a key of its own, so its terms stay numpy floats
+    assert type(_mass_terms(0.25, 0.75, 0.5)[1]) is float
+    assert type(_mass_terms(np.float64(0.25), np.float64(0.75), 0.5)[1]) is np.float64

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from branchflow import construct
 from branchflow.bifurcation import BifurcationInput, solve_two_targets
-from branchflow.construct import build_small, build_star, build_subdivision
-from branchflow.errors import InputError
+from branchflow.construct import _greedy_pairs, _greedy_small, build_small, build_star, build_subdivision
+from branchflow.errors import DegenerateInputError, InputError
 from branchflow.instances import export_network
 from branchflow.measures import AtomicMeasure
 
@@ -53,6 +54,56 @@ def test_build_small_two_targets_matches_closed_form():
     helpers = [v for v in net.vertices() if v != net.root and not net.is_terminal(v)]
     assert len(helpers) == 1
     assert np.allclose(net.point(helpers[0]), ref.b_star, atol=1e-8)
+
+
+def _two_entry_inputs(rng, dim):
+    """(o, pool, alpha) for pools of two in dimension dim: random triangles,
+    a target near the middle of the segment from o to the other target (on
+    either side of the pool), a coincident pair, and alpha = 1."""
+    for _ in range(30):
+        o, p, q = (tuple(rng.uniform(-1.0, 1.0, size=dim).tolist()) for _ in range(3))
+        m_p, m_q = rng.uniform(0.1, 1.0, size=2).tolist()
+        alpha = float(rng.uniform(0.05, 1.0))
+        near = tuple((a + b) / 2.0 + 1e-3 * c
+                     for a, b, c in zip(o, p, rng.normal(size=dim).tolist()))
+        yield o, [(p, m_p), (q, m_q)], alpha
+        yield o, [(p, m_p), (near, m_q)], alpha
+        yield o, [(near, m_p), (p, m_q)], alpha
+        yield o, [(p, m_p), (p, m_q)], alpha
+        yield o, [(p, m_p), (q, m_q)], 1.0
+
+
+def _outcome(o, pool, alpha):
+    (p, m_p), (q, m_q) = pool
+    try:
+        res = solve_two_targets(BifurcationInput(o=o, p=p, q=q, m_p=m_p, m_q=m_q, alpha=alpha))
+    except DegenerateInputError:
+        return "coincident"
+    return res.case.value if res.v_cost - res.cost > 0.0 else "no gain"
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_two_entry_plan_matches_general_greedy(monkeypatch, dim):
+    """The two-entry shortcut of _greedy_small gives the general greedy's plan,
+    junction points and edge order alike, from one solve_two_targets call
+    looked up on the construct module."""
+    calls = []
+
+    def counted(inp):
+        calls.append(inp)
+        return solve_two_targets(inp)
+
+    monkeypatch.setattr(construct, "solve_two_targets", counted)
+    seen = set()
+    for o, pool, alpha in _two_entry_inputs(np.random.default_rng(50 + dim), dim):
+        del calls[:]
+        plan = _greedy_small(o, pool, alpha)
+        assert len(calls) == 1
+        assert plan == _greedy_pairs(o, pool, alpha)
+        seen.add((_outcome(o, pool, alpha), alpha == 1.0))
+    assert {case for case, _ in seen} == {"coincident", "no gain", "CollapseToP",
+                                          "CollapseToQ", "InteriorY"}
+    assert ("no gain", True) in seen
 
 
 def test_build_small_beats_or_ties_star():

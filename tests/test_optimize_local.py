@@ -11,7 +11,7 @@ from branchflow.instances import export_network
 from branchflow.measures import AtomicMeasure
 from branchflow.network import TransportNetwork
 from branchflow.optimize_global import rewire
-from branchflow.optimize_local import _star_pool, improve_vertex, local_sweep, star_cost
+from branchflow.optimize_local import _star_scan, improve_vertex, local_sweep
 
 
 def displaced_junction_net(j_point=(1.7, 0.8)):
@@ -26,10 +26,19 @@ def displaced_junction_net(j_point=(1.7, 0.8)):
     return net, j
 
 
+def star_cost(net, u, alpha):
+    """Reference for the cost _star_scan returns: the edges touching u, the
+    parent edge first, summed by a separate walk over the star."""
+    total = net.edge_mass(u) ** alpha * net.edge_length(u)
+    for child in net.children(u):
+        total += net.edge_mass(child) ** alpha * net.edge_length(child)
+    return total
+
+
 def test_star_cost_hand_value():
     net, j = displaced_junction_net(j_point=(1.0, 0.0))
     want = 1.0 + math.sqrt(0.5) * math.sqrt(2.0) * 2.0
-    assert star_cost(net, j, 0.5) == pytest.approx(want, abs=1e-12)
+    assert _star_scan(net, j, 0.5)[2] == pytest.approx(want, abs=1e-12)
 
 
 def test_improve_vertex_skips_root_and_leaves():
@@ -43,12 +52,12 @@ def test_improve_vertex_skips_root_and_leaves():
 
 def test_star_pool_helper():
     net, j = displaced_junction_net(j_point=(1.0, 0.0))
-    pool = _star_pool(net, j)
-    assert [vid for vid, _, _ in pool] == net.children(j)
-    for vid, pt, m in pool:
+    vids, pool, _ = _star_scan(net, j, 0.5)
+    assert vids == net.children(j)
+    for vid, (pt, m) in zip(vids, pool, strict=True):
         assert np.array_equal(pt, net.point(vid))
         assert m == net.edge_mass(vid)
-    assert sum(m for _, _, m in pool) == pytest.approx(net.edge_mass(j))
+    assert sum(m for _, m in pool) == pytest.approx(net.edge_mass(j))
 
 
 def test_star_pool_flow_through_target():
@@ -57,17 +66,18 @@ def test_star_pool_flow_through_target():
     leaf = net.add_vertex((2.0, 0.0), terminal=True)
     net.add_edge(net.root, t, 1.0)
     net.add_edge(t, leaf, 0.6)
-    pool = _star_pool(net, t)
+    vids, pool, cost = _star_scan(net, t, 0.5)
     # the pool carries the downstream leaf plus the 0.4 consumed at t
-    assert [vid for vid, _, _ in pool] == [leaf, t]
-    assert [m for _, _, m in pool] == pytest.approx([0.6, 0.4])
-    assert np.array_equal(pool[1][1], net.point(t))
+    assert vids == [leaf, t]
+    assert [m for _, m in pool] == pytest.approx([0.6, 0.4])
+    assert np.array_equal(pool[1][0], net.point(t))
+    assert cost == star_cost(net, t, 0.5)  # the consumed mass has no edge
 
 
 def test_star_pool_refuses_leaky_helper():
     net, j = displaced_junction_net()
     net.set_weight(net.children(j)[0], 0.25)  # helper now leaks 0.25
-    assert _star_pool(net, j) is None
+    assert _star_scan(net, j, 0.5) is None
     before = export_network(net, 0.5)
     assert not improve_vertex(net, j, 0.5, 0.0)
     assert export_network(net, 0.5) == before
@@ -145,11 +155,11 @@ def test_local_sweep_counts_sweeps():
 def _plan_network(net, u, alpha):
     """The greedy plan for u's star, wired by _wire into a scratch network
     rooted at a copy of parent(u)."""
-    pool = _star_pool(net, u)
+    _, pool, _ = _star_scan(net, u, alpha)
     o = net.point(net.parent(u))
-    junctions, edges = _greedy_small(o, [(pt, m) for _, pt, m in pool], alpha)
+    junctions, edges = _greedy_small(o, pool, alpha)
     scratch = TransportNetwork(o, net.edge_mass(u))
-    ids = [scratch.root] + [scratch.add_vertex(pt, terminal=True) for _, pt, _ in pool]
+    ids = [scratch.root] + [scratch.add_vertex(pt, terminal=True) for pt, _ in pool]
     _wire(scratch, ids, junctions, edges)
     return scratch
 
@@ -170,7 +180,7 @@ def test_splice_matches_wired_plan(dim, alpha):
                 continue
             before = export_network(net, alpha)
             scored = None
-            if u != net.root and net.children(u) and _star_pool(net, u) is not None:
+            if u != net.root and net.children(u) and _star_scan(net, u, alpha) is not None:
                 scored = star_cost(net, u, alpha) - _plan_network(net, u, alpha).cost_m_alpha(alpha)
             cost_before = net.cost_m_alpha(alpha)
             ok = improve_vertex(net, u, alpha, eps)
@@ -203,6 +213,7 @@ def test_plan_score_equals_wired_cost_bitwise(dim):
         for mass in masses:
             child = net.add_vertex(rng.uniform(-1.0, 1.0, size=dim), terminal=True)
             net.add_edge(u, child, float(mass))
+        assert _star_scan(net, u, alpha)[2] == star_cost(net, u, alpha)
         threshold = star_cost(net, u, alpha) - _plan_network(net, u, alpha).cost_m_alpha(alpha)
         assert not improve_vertex(net.copy(), u, alpha, threshold)
         assert improve_vertex(net.copy(), u, alpha, float(np.nextafter(threshold, -np.inf)))
