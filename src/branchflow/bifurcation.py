@@ -120,12 +120,19 @@ def branch_angles(m_p: float, m_q: float, m_o: float, alpha: float) -> tuple[flo
     """Optimal angles (t1, t2, t3) at an interior branch point.
 
     At alpha = 1 the algebra collapses to (pi, pi, 0) exactly: branching never
-    pays and the V shape is always optimal.
+    pays and the V shape is always optimal.  When k1 or k2 underflows to 0,
+    the angles are their limit as that branch's mass vanishes: the other
+    branch runs straight on from O and the vanishing one leaves it at a
+    right angle.
     """
     if alpha == 1.0:
         return (math.pi, math.pi, 0.0)
     k1 = (m_p / m_o) ** (2.0 * alpha)
     k2 = (m_q / m_o) ** (2.0 * alpha)
+    if k1 == 0.0:
+        return (math.pi / 2.0, math.pi, math.pi / 2.0)
+    if k2 == 0.0:
+        return (math.pi, math.pi / 2.0, math.pi / 2.0)
     t1 = _clamped_acos((k2 - k1 - 1.0) / (2.0 * math.sqrt(k1)))
     t2 = _clamped_acos((k1 - k2 - 1.0) / (2.0 * math.sqrt(k2)))
     t3 = _clamped_acos((1.0 - k1 - k2) / (2.0 * math.sqrt(k1 * k2)))

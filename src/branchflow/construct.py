@@ -31,7 +31,7 @@ import math
 from bisect import bisect_right
 
 from .bifurcation import BifurcationInput, BranchCase, solve_two_targets
-from .errors import DegenerateInputError, InputError
+from .errors import DegenerateInputError
 from .measures import AtomicMeasure, bounding_cube, check_source_targets
 from .network import TransportNetwork
 
@@ -194,8 +194,6 @@ def build_subdivision(source_point, source_mass: float, targets: AtomicMeasure,
     """Recursive cell summary construction; scales past the greedy cutoff."""
     check_source_targets(source_point, source_mass, targets, alpha)
     d = targets.dimension
-    if d < 2:
-        raise InputError("instances must live in dimension >= 2")
     lam = 3 if d == 2 else 2
     capacity = lam ** d  # the small-case cutoff and the cell fan-out
 

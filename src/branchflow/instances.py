@@ -15,12 +15,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import mass_tolerance
-from .errors import InputError
+from .errors import InputError, InvariantViolation
 from .measures import AtomicMeasure, check_source_targets
 from .network import TransportNetwork
 
@@ -43,15 +44,6 @@ class Instance:
 
     def source_measure(self) -> AtomicMeasure:
         return AtomicMeasure([self.source_point], [self.source_mass])
-
-    def validate(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise InputError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not np.all(np.isfinite(self.source_point)):
-            raise InputError(f"source point is not finite: {self.source_point}")
-        if not (np.isfinite(self.source_mass) and self.source_mass > 0):
-            raise InputError(f"source mass must be positive, got {self.source_mass}")
-        check_source_targets(self.source_point, self.source_mass, self.targets, self.alpha)
 
 
 # ---------------- synthetic point generators ----------------
@@ -145,7 +137,7 @@ def parse_instance(data: bytes | str, fmt: str, alpha: float | None = None,
         inst = _parse_csv(data, alpha)
     else:
         raise InputError(f"unknown instance format {fmt!r}; expected json or csv")
-    inst.validate()
+    check_source_targets(inst.source_point, inst.source_mass, inst.targets, inst.alpha)
     return inst
 
 
@@ -291,13 +283,19 @@ def export_network(net: TransportNetwork, alpha: float) -> bytes:
 def import_network(data: bytes | str) -> tuple[TransportNetwork, float]:
     """Rebuild a network from export_network bytes.
 
-    The root is the unique vertex with no incoming edge and must carry id 0,
-    as every export from this package does.  Childless vertices are marked
-    terminal; the schema does not record flow-through target identity.
-    Anything but one tree over coordinates of magnitude at most
-    MAX_NETWORK_COORDINATE, with weights > 0, no vertex sending out more
-    than it receives (beyond the mass tolerance of the root's outflow) and
-    alpha in (0, 1], raises InputError, and so do bytes that are not UTF-8.
+    The document is parsed here: integer vertex ids without duplicates,
+    numeric coordinates of magnitude at most MAX_NETWORK_COORDINATE (NaN
+    fails), weights > 0 and finite, and alpha in (0, 1].  The root must
+    carry id 0, as every export from this package does.  Whether the edges
+    form one tree is TransportNetwork's to judge: the vertices and edges go
+    in through add_vertex and add_edge, and whatever those refuse or
+    validate_structure reports (a second dimension, an unknown id, a second
+    parent, an edge into the root, a cycle, a vertex the root cannot reach)
+    raises InputError.  So does a root outflow that is 0 or overflows, a
+    vertex that sends out more than it receives (beyond the mass tolerance
+    of the root's outflow), and bytes that are not UTF-8.  Childless
+    vertices are marked terminal; the schema does not record flow-through
+    target identity.
     """
     data = _text(data)
     try:
@@ -328,45 +326,29 @@ def import_network(data: bytes | str) -> tuple[TransportNetwork, float]:
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed network document: {exc}") from None
 
-    if len({pt.shape for pt in vertices.values()}) > 1:
-        raise InputError("vertex coords must share one dimension")
-    unknown = sorted({vid for p, c, _ in edges for vid in (p, c)} - vertices.keys())
-    if unknown:
-        raise InputError(f"edges name unknown vertex ids {unknown}")
-    children: dict[int, list[int]] = {}
-    has_parent: set[int] = set()
-    for p, c, _ in edges:
-        if c in has_parent:
-            raise InputError(f"vertex {c} has more than one parent edge")
-        has_parent.add(c)
-        children.setdefault(p, []).append(c)
-    roots = [v for v in sorted(vertices) if v not in has_parent]
-    if len(roots) != 1 or roots[0] != 0:
-        raise InputError(f"network must have the single parentless root 0, found {roots}")
-    # with one parent per non-root vertex, whatever the root cannot reach
-    # sits on a cycle
-    reached = [0]
-    for v in reached:
-        reached.extend(children.get(v, ()))
-    if len(reached) != len(vertices):
-        cyclic = sorted(vertices.keys() - set(reached))
-        raise InputError(f"edges form a cycle through vertices {cyclic}")
-    source_mass = sum(w for p, _, w in edges if p == 0)
-    if source_mass <= 0:
-        raise InputError("root has no outgoing flow")
+    if 0 not in vertices:
+        raise InputError("network must have the root 0")
     outflow: dict[int, float] = {}
     for p, _, w in edges:
         outflow[p] = outflow.get(p, 0.0) + w
+    source_mass = outflow.get(0, 0.0)
+    if not 0.0 < source_mass < math.inf:
+        raise InputError(f"the root's outflow {source_mass!r} must be positive and finite")
+    net = TransportNetwork(vertices.pop(0), source_mass)
+    try:
+        for vid in sorted(vertices):
+            net.add_vertex(vertices[vid], terminal=vid not in outflow, vid=vid)
+        for p, c, w in sorted(edges, key=lambda e: e[1]):
+            net.add_edge(p, c, w)
+    except (KeyError, ValueError, InvariantViolation) as exc:
+        raise InputError(f"network is not one tree: {exc.args[0]}") from None
+    problems = net.validate_structure()
+    if problems:
+        raise InputError("network is not one tree: " + "; ".join(problems))
+
     inflow = {c: w for _, c, w in edges}
     tol = mass_tolerance(source_mass)
     leaky = sorted(v for v, out in outflow.items() if v != 0 and out - inflow[v] > tol)
     if leaky:
         raise InputError(f"vertices {leaky} send out more flow than they receive")
-
-    net = TransportNetwork(vertices[0], source_mass)
-    for vid in sorted(vertices):
-        if vid != 0:
-            net.add_vertex(vertices[vid], terminal=vid not in children, vid=vid)
-    for p, c, w in sorted(edges, key=lambda e: e[1]):
-        net.add_edge(p, c, w)
     return net, alpha

@@ -1,15 +1,26 @@
-"""Atomic measures and their bounding boxes.
+"""Atomic measures, their bounding boxes, and the one check of an instance.
 
-An atomic measure is a finite set of point masses sum(m_i * delta_{x_i}) with
-pairwise distinct points and strictly positive masses, kept as numpy arrays.
-A bounding cube is a pair (lo, hi) of float tuples; construct._subcells
-splits one into cells.  Bounding boxes and the input checks run on plain
-floats, and the diameter is math.hypot of the spans, which needs no rescale.
+An atomic measure is a finite set of point masses sum(m_i * delta_{x_i}),
+kept as numpy arrays; AtomicMeasure checks only their shapes.  A bounding
+cube is a pair (lo, hi) of float tuples; construct._subcells splits one into
+cells.  Bounding boxes and the input checks run on plain floats, and the
+diameter is math.hypot of the spans, which needs no rescale.
+
+check_source_targets is the only code that decides whether (source point,
+source mass, targets, alpha) is a solvable instance, and every library entry
+point that takes one calls it: parse_instance, build_star, build_small,
+build_subdivision (so global_optimize) and enumerate_optimal.  It raises
+InputError unless alpha lies in (0, 1]; the source point has d >= 2 finite
+coordinates and the source mass is positive and finite; there is a target
+atom, and each one has d finite coordinates, a mass above the balance
+tolerance (1e-9 of the source mass) and a point of its own; the target
+masses sum to the source mass within that tolerance; no coordinate exceeds
+MAX_COORDINATE in magnitude; and the diameter and the star network's cost
+are finite.  NaN fails every one of these comparisons.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -20,13 +31,6 @@ from .errors import InputError
 
 # Below 2**1020 the corners of a bounding cube, and their sums, stay finite.
 MAX_COORDINATE = 2.0 ** 1020
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "duplicate_point" | "nonpositive_mass" | "nonfinite_coordinate"
-    index: int
-    detail: str
 
 
 class AtomicMeasure:
@@ -63,22 +67,6 @@ class AtomicMeasure:
         for i in range(self.n):
             yield self.points[i], float(self.masses[i])
 
-    def validate(self) -> list[Violation]:
-        out: list[Violation] = []
-        for i in range(self.n):
-            if not np.all(np.isfinite(self.points[i])):
-                out.append(Violation("nonfinite_coordinate", i, f"point {self.points[i]}"))
-            if not np.isfinite(self.masses[i]) or self.masses[i] <= 0:
-                out.append(Violation("nonpositive_mass", i, f"mass {self.masses[i]}"))
-        seen: dict[tuple, int] = {}
-        for i in range(self.n):
-            key = tuple(self.points[i].tolist())
-            if key in seen:
-                out.append(Violation("duplicate_point", i, f"same point as atom {seen[key]}"))
-            else:
-                seen[key] = i
-        return out
-
     def __repr__(self) -> str:
         return f"AtomicMeasure(n={self.n}, total={self.total_mass():g})"
 
@@ -112,37 +100,58 @@ def diameter(points) -> float:
 
 def check_source_targets(source_point, source_mass: float, targets: AtomicMeasure,
                          alpha: float) -> None:
-    """Reject a target measure that a single-atom source cannot be routed onto.
+    """Raise InputError unless a single-atom source at source_point with
+    source_mass can be routed onto targets at exponent alpha.
 
-    The targets must be non-empty, share the source's dimension, pass
-    AtomicMeasure.validate, and sum to the source mass within the balance
-    tolerance.  Every atom must also weigh more than that tolerance: the
-    optimizers prune edges at or below it, so a lighter atom would be cut off.
-    No coordinate may exceed MAX_COORDINATE in magnitude, and the diameter of
-    source and targets and the cost of the star (one direct edge per target)
-    must be finite floats, or no cost could be compared.
+    The rules, in the order they are checked:
+    - alpha lies in (0, 1];
+    - the source point has d >= 2 coordinates, all finite;
+    - the source mass is positive and finite;
+    - there is at least one target, and the targets have dimension d;
+    - every target atom has finite coordinates, a mass above the balance
+      tolerance 1e-9 * source_mass (the optimizers prune edges at or below
+      it, so a lighter atom would be cut off), and a point that no earlier
+      atom has;
+    - the target masses sum to the source mass within that tolerance;
+    - no coordinate exceeds MAX_COORDINATE in magnitude, and the diameter of
+      source and targets and the cost of the star (one direct edge per
+      target) are finite floats, or no cost could be compared.
+
+    Every comparison is written so that NaN fails it.
     """
-    if targets.n < 1:
-        raise InputError("need at least one target")
+    if not 0.0 < alpha <= 1.0:
+        raise InputError(f"alpha must lie in (0, 1], got {alpha!r}")
     src = tuple(map(float, source_point))
     d = len(src)
+    if d < 2:
+        raise InputError(f"instances must live in dimension >= 2, got {d}")
+    if not all(map(math.isfinite, src)):
+        raise InputError(f"source point {src} is not finite")
+    if not 0.0 < source_mass < math.inf:
+        raise InputError(f"source mass must be positive and finite, got {source_mass!r}")
+    if targets.n < 1:
+        raise InputError("need at least one target")
     if targets.dimension != d:
         raise InputError(
             f"source has dimension {d} but targets have dimension {targets.dimension}")
-    bad = targets.validate()
-    if bad:
-        raise InputError(f"target atom {bad[0].index}: {bad[0].kind} ({bad[0].detail})")
     tol = mass_tolerance(source_mass)
-    for i, m in enumerate(targets.masses):
-        if m <= tol:
+    pts = targets.points.tolist()
+    seen: dict[tuple, int] = {}
+    for i, (x, m) in enumerate(zip(pts, targets.masses.tolist())):
+        if not all(map(math.isfinite, x)):
+            raise InputError(f"target atom {i}: point {x} is not finite")
+        if not m > tol:
             raise InputError(
-                f"target atom {i}: mass {float(m)!r} is at or below the balance "
+                f"target atom {i}: mass {m!r} is not above the balance "
                 f"tolerance {tol!r} (1e-9 of the source mass)")
-    if abs(targets.total_mass() - source_mass) > tol:
+        first = seen.setdefault(tuple(x), i)
+        if first != i:
+            raise InputError(f"target atom {i}: same point as atom {first}")
+    if not abs(targets.total_mass() - source_mass) <= tol:
         raise InputError(
             f"target masses sum to {targets.total_mass()!r} but the "
             f"source supplies {source_mass!r}")
-    pts = [src, *targets.points.tolist()]
+    pts.insert(0, src)
     if max(abs(x) for pt in pts for x in pt) > MAX_COORDINATE:
         raise InputError(f"a coordinate exceeds {MAX_COORDINATE!r} in magnitude")
     if not math.isfinite(diameter(pts)):

@@ -39,12 +39,13 @@ class BalanceReport:
     missing: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
 
     def max_abs(self) -> float:
-        worst = 0.0
-        for r in self.residuals.values():
-            worst = max(worst, abs(r))
-        for _, r in self.missing:
-            worst = max(worst, abs(r))
-        return worst
+        """Largest absolute residual, missing atoms included; NaN when any
+        residual is NaN, so that is_balanced fails."""
+        values = [abs(r) for r in self.residuals.values()]
+        values += [abs(r) for _, r in self.missing]
+        if any(map(math.isnan, values)):
+            return math.nan
+        return max(values, default=0.0)
 
     def is_balanced(self, tol: float) -> bool:
         return self.max_abs() <= tol
@@ -103,7 +104,7 @@ class TransportNetwork:
 
     def add_edge(self, parent: int, child: int, weight: float) -> None:
         if parent not in self._points or child not in self._points:
-            raise KeyError("unknown vertex")
+            raise KeyError(f"edge {parent}->{child} names an unknown vertex")
         if child == self.root:
             raise InvariantViolation("the root cannot receive an edge", network=self)
         if child in self._parent:
@@ -326,7 +327,7 @@ class TransportNetwork:
             if child not in self._children.get(parent, ()):
                 problems.append(f"child index missing entry {parent}->{child}")
         for child, w in self._weight.items():
-            if w <= 0:
+            if not w > 0:  # NaN fails too
                 problems.append(f"edge into {child} has nonpositive weight {w}")
         # cycle scan: walk up from every vertex with a step budget
         n = len(self._points)

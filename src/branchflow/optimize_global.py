@@ -237,9 +237,8 @@ def _check_result(net: TransportNetwork, source: AtomicMeasure,
     balance = net.check_balance(source, targets)
     if balance.missing:
         problems.append(f"{len(balance.missing)} atoms have no vertex at their position")
-    worst = balance.max_abs()
-    if worst > mass_tolerance(source.total_mass()):
-        problems.append(f"flow residual {worst!r} exceeds the balance tolerance")
+    if not balance.is_balanced(mass_tolerance(source.total_mass())):
+        problems.append(f"flow residual {balance.max_abs()!r} exceeds the balance tolerance")
     if problems:
         raise InvariantViolation("global_optimize: " + "; ".join(problems), network=net)
 
@@ -248,6 +247,8 @@ def global_optimize(source: AtomicMeasure, targets: AtomicMeasure, alpha: float,
                     initializer: str = "subdivision") -> TransportNetwork:
     """Full pipeline: construct, then loop local sweeps, edge subdivision and
     reparent passes until a round stops paying; finish canonical.  Raises
+    InputError for a source of more than one atom or an instance that
+    check_source_targets (run by the initializer) refuses,
     InvariantViolation when the result is not one tree that delivers every
     target atom with the flow balanced within the mass tolerance, and
     ValueError for an initializer that is not in _INITIALIZERS.
@@ -260,8 +261,6 @@ def global_optimize(source: AtomicMeasure, targets: AtomicMeasure, alpha: float,
         raise ValueError(f"unknown initializer {initializer!r}")
     if source.n != 1:
         raise InputError("the source must be a single atom")
-    if not (0.0 < alpha <= 1.0):
-        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
 
     src_point = source.points[0]
     src_mass = source.total_mass()

@@ -397,14 +397,14 @@ def enumerate_optimal(source: AtomicMeasure, targets: AtomicMeasure, alpha: floa
     """Exhaustive optimum over branching topologies for up to four targets.
 
     Returns (network, cost).  The network is canonical: junctions that
-    collapsed onto other vertices during descent are merged away.
+    collapsed onto other vertices during descent are merged away.  Raises
+    InputError for a source of more than one atom, more than four targets,
+    or an instance that check_source_targets refuses.
     """
     if source.n != 1:
         raise InputError("the source must be a single atom")
     if targets.n > 4:
         raise InputError("exhaustive search is limited to four targets")
-    if not (0.0 < alpha <= 1.0):
-        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
     src = source.points[0]
     m_total = source.total_mass()
     check_source_targets(src, m_total, targets, alpha)

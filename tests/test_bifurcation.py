@@ -16,6 +16,7 @@ from branchflow.bifurcation import (
     solve_two_targets,
 )
 from branchflow.errors import DegenerateInputError
+from branchflow.oracle import grid_minimize_f
 
 SPOT = BifurcationInput(o=(0.0, 0.0), p=(2.0, 1.0), q=(2.0, -1.0),
                         m_p=0.5, m_q=0.5, alpha=0.5)
@@ -178,6 +179,22 @@ def test_non_finite_input_rejected(field, value):
     with pytest.raises(ValueError) as err:
         solve_two_targets(BifurcationInput(**fields))
     assert not isinstance(err.value, DegenerateInputError)
+
+
+@pytest.mark.parametrize("m_p, m_q", [(1e-300, 1.0), (1.0, 1e-300)])
+def test_underflowing_mass_ratio_takes_the_limit_angles(m_p, m_q):
+    """(m/m_o)**(2 alpha) underflows to 0 for a branch of mass 1e-300: the
+    angles are then their limit as that branch vanishes, and the junction
+    still matches the grid oracle.  These used to divide by zero."""
+    t_small, t_big = (math.pi / 2.0, math.pi) if m_p < m_q else (math.pi, math.pi / 2.0)
+    assert branch_angles(m_p, m_q, m_p + m_q, 0.9) == (t_small, t_big, math.pi / 2.0)
+    for o, p, q in [((0.0, 0.0), (2.0, 1.0), (2.0, -1.0)),
+                    ((0.0, 0.0), (1.0, 3.0), (4.0, 0.0)),
+                    ((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (3.0, -1.0, 0.5))]:
+        inp = BifurcationInput(o=o, p=p, q=q, m_p=m_p, m_q=m_q, alpha=0.9)
+        res = solve_two_targets(inp)
+        _, grid_cost = grid_minimize_f(inp)
+        assert res.cost == pytest.approx(grid_cost, rel=1e-12)
 
 
 def test_mass_terms_memo_bounded_and_transparent():

@@ -219,6 +219,10 @@ NOT_UTF8 = b"\xff\xfe"
     pytest.param(_network([(0, 1, 1.0)], coords={0: [0.0, 0.0], 1: [1.7e308, 1.7e308]},
                           ids=(0, 1)), id="coords-past-bound"),
     pytest.param(NOT_UTF8, id="not-utf8"),
+    pytest.param(_network([(0, 1, 1.0), (1, 2, 1.0)]), id="unreachable-vertex"),
+    # finite weights whose sum, the root's outflow, overflows
+    pytest.param(_network([(0, 1, 1e308), (0, 2, 1e308)], ids=(0, 1, 2)),
+                 id="outflow-overflow"),
 ])
 def test_render_rejects_malformed_networks(capsys, monkeypatch, doc):
     data = doc if isinstance(doc, bytes) else json.dumps(doc).encode()

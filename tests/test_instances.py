@@ -154,17 +154,6 @@ def test_parse_csv_errors_carry_line_numbers():
         parse_instance("x,y,mass\n0,0,1\n1,1,0.5\n2,2,0.5,9\n", "csv", alpha=0.5)
 
 
-def test_instance_validate_catches_bad_fields():
-    tg = AtomicMeasure([[1.0, 0.0]], [1.0])
-    Instance(0.5, np.zeros(2), 1.0, tg).validate()
-    with pytest.raises(InputError):
-        Instance(0.0, np.zeros(2), 1.0, tg).validate()
-    with pytest.raises(InputError):
-        Instance(0.5, np.zeros(2), -1.0, tg).validate()
-    with pytest.raises(InputError):
-        Instance(0.5, np.zeros(3), 1.0, tg).validate()
-
-
 def test_network_json_round_trip():
     tg = AtomicMeasure([[2.0, 1.0], [2.0, -1.0]], [0.5, 0.5])
     net = build_small((0.0, 0.0), 1.0, tg, 0.5)

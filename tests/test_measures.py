@@ -1,11 +1,17 @@
-"""Unit tests for atomic measures, bounding cubes and subdivision cells."""
+"""Unit tests for atomic measures, the instance check, bounding cubes and
+subdivision cells."""
+import json
 import math
 
 import numpy as np
 import pytest
 
-from branchflow.construct import _subcells
-from branchflow.measures import AtomicMeasure, bounding_cube, diameter
+from branchflow.construct import _subcells, build_small, build_star, build_subdivision
+from branchflow.errors import InputError
+from branchflow.instances import parse_instance
+from branchflow.measures import AtomicMeasure, bounding_cube, check_source_targets, diameter
+from branchflow.optimize_global import global_optimize
+from branchflow.oracle import enumerate_optimal
 
 
 def test_atomic_measure_basics():
@@ -33,13 +39,95 @@ def test_atomic_measure_shape_checks():
         AtomicMeasure([[0.0, 1.0]], [1.0, 2.0])
 
 
-def test_validate_flags_bad_atoms():
-    mu = AtomicMeasure([[0.0, 0.0], [0.0, 0.0], [1.0, np.inf]], [1.0, -0.5, 0.0])
-    kinds = sorted(v.kind for v in mu.validate())
-    assert kinds == ["duplicate_point", "nonfinite_coordinate",
-                     "nonpositive_mass", "nonpositive_mass"]
-    clean = AtomicMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
-    assert clean.validate() == []
+NAN, INF = math.nan, math.inf
+
+# a valid instance; and per invalid one, the fields it changes and the words
+# of the rule check_source_targets must name
+BASE = {"point": (0.0, 0.0), "mass": 1.0, "alpha": 0.5,
+        "points": [[2.0, 1.0], [2.0, -1.0], [1.0, 2.0]], "masses": [0.5, 0.25, 0.25]}
+BAD = {
+    "alpha-0": ({"alpha": 0.0}, "alpha must lie"),
+    "alpha-1.5": ({"alpha": 1.5}, "alpha must lie"),
+    "alpha-nan": ({"alpha": NAN}, "alpha must lie"),
+    "dimension-1": ({"point": (0.0,), "points": [[1.0], [2.0], [3.0]]}, "dimension >= 2"),
+    "dimension-mismatch": ({"point": (0.0, 0.0, 0.0)}, "dimension"),
+    "source-nan-coordinate": ({"point": (NAN, 0.0)}, "source point"),
+    "source-mass-nan": ({"mass": NAN}, "source mass"),
+    "source-mass-inf": ({"mass": INF}, "source mass"),
+    "source-mass-0": ({"mass": 0.0}, "source mass"),
+    "source-mass-negative": ({"mass": -1.0}, "source mass"),
+    "no-targets": ({"points": [], "masses": []}, "at least one target"),
+    "target-nan-coordinate": ({"points": [[2.0, 1.0], [2.0, NAN], [1.0, 2.0]]},
+                              "atom 1: point .* not finite"),
+    "target-inf-coordinate": ({"points": [[2.0, 1.0], [2.0, -1.0], [1.0, INF]]},
+                              "atom 2: point .* not finite"),
+    "duplicate-target": ({"points": [[2.0, 1.0], [2.0, -1.0], [2.0, 1.0]]},
+                         "atom 2: same point as atom 0"),
+    "target-mass-at-tolerance": ({"masses": [0.5, 0.5 - 1e-9, 1e-9]}, "atom 2: mass"),
+    "target-mass-0": ({"masses": [0.5, 0.5, 0.0]}, "atom 2: mass"),
+    "target-mass-negative": ({"masses": [0.75, 0.5, -0.25]}, "atom 2: mass"),
+    "target-mass-nan": ({"masses": [0.5, 0.25, NAN]}, "atom 2: mass"),
+    "unbalanced": ({"masses": [0.5, 0.25, 0.2]}, "sum to"),
+}
+
+
+def _targets(case):
+    points = case["points"] or np.zeros((0, len(case["point"])))
+    return AtomicMeasure(points, case["masses"])
+
+
+def _source(case):
+    return AtomicMeasure([case["point"]], [case["mass"]])
+
+
+def _json(case):
+    return json.dumps({
+        "alpha": case["alpha"],
+        "source": {"point": list(case["point"]), "mass": case["mass"]},
+        "targets": [{"point": x, "mass": m} for x, m in zip(case["points"], case["masses"])]})
+
+
+def _csv(case):
+    header = ["x", "y", "z"][:len(case["point"])] + ["mass"]
+    rows = [[*case["point"], case["mass"]]]
+    rows += [[*x, m] for x, m in zip(case["points"], case["masses"])]
+    return "\n".join(",".join(map(str, row)) for row in [header, *rows]) + "\n"
+
+
+ENTRY_POINTS = {
+    "build_star": lambda c: build_star(c["point"], c["mass"], _targets(c), c["alpha"]),
+    "build_small": lambda c: build_small(c["point"], c["mass"], _targets(c), c["alpha"]),
+    "build_subdivision": lambda c: build_subdivision(c["point"], c["mass"], _targets(c),
+                                                     c["alpha"]),
+    **{f"global_optimize-{init}": (lambda c, init=init: global_optimize(
+        _source(c), _targets(c), c["alpha"], initializer=init))
+       for init in ("subdivision", "star", "small")},
+    "enumerate_optimal": lambda c: enumerate_optimal(_source(c), _targets(c), c["alpha"]),
+    "parse_instance-json": lambda c: parse_instance(_json(c), "json"),
+    "parse_instance-csv": lambda c: parse_instance(_csv(c), "csv", alpha=c["alpha"]),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("case", BAD)
+def test_entry_points_reject_the_same_invalid_instances(case, entry):
+    """check_source_targets is the one judge of an instance: every entry
+    point raises InputError on each invalid one, and none returns."""
+    with pytest.raises(InputError):
+        ENTRY_POINTS[entry]({**BASE, **BAD[case][0]})
+
+
+@pytest.mark.parametrize("case", BAD)
+def test_check_source_targets_names_the_broken_rule(case):
+    changes, words = BAD[case]
+    c = {**BASE, **changes}
+    with pytest.raises(InputError, match=words):
+        check_source_targets(c["point"], c["mass"], _targets(c), c["alpha"])
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_accept_the_valid_instance(entry):
+    assert ENTRY_POINTS[entry](BASE) is not None
 
 
 class RefCube:

@@ -9,7 +9,8 @@ from branchflow.construct import build_subdivision
 from branchflow.errors import InvariantViolation
 from branchflow.instances import export_network
 from branchflow.measures import AtomicMeasure
-from branchflow.network import TransportNetwork
+from branchflow.network import BalanceReport, TransportNetwork
+from branchflow.optimize_global import _check_result
 
 
 def chain_net():
@@ -105,6 +106,25 @@ def test_validate_structure_flags_problems():
     lone = net2.add_vertex((1.0, 1.0), terminal=True)
     problems = net2.validate_structure()
     assert any("disconnected" in p for p in problems), (problems, lone)
+
+
+def test_nan_weight_fails_the_tree_and_balance_checks():
+    """NaN fails `w > 0` and poisons max_abs, so neither check passes it;
+    finite residuals keep their plain maximum."""
+    net, a, b, c = chain_net()
+    src = AtomicMeasure([[0.0, 0.0]], [1.0])
+    tg = AtomicMeasure([[2.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+    net.set_weight(b, math.nan)
+    assert any("nonpositive weight nan" in p for p in net.validate_structure())
+    rep = net.check_balance(src, tg)
+    assert math.isnan(rep.max_abs())
+    assert not rep.is_balanced(1e-9)
+    with pytest.raises(InvariantViolation, match="flow residual nan"):
+        _check_result(net, src, tg)
+
+    assert math.isnan(BalanceReport({0: 0.0}, [((1.0, 1.0), math.nan)]).max_abs())
+    assert BalanceReport({0: -2.0, 1: 1.0}, [((1.0, 1.0), -3.0)]).max_abs() == 3.0
+    assert BalanceReport().max_abs() == 0.0
 
 
 def test_copy_and_restore_round_trip():
