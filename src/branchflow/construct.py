@@ -198,7 +198,7 @@ def build_subdivision(source_point, source_mass: float, targets: AtomicMeasure,
     capacity = lam ** d  # the small-case cutoff and the cell fan-out
 
     net = TransportNetwork(source_point, source_mass)
-    leaf_ids = [net.add_vertex(targets.points[i], terminal=True) for i in range(targets.n)]
+    leaf_ids = [net.add_vertex(pt, terminal=True) for pt in targets.points]
     leaf_points = [net.point(vid) for vid in leaf_ids]
 
     def recurse(src_vid: int, atom_idx: list[int], box: tuple, depth: int) -> None:
@@ -206,17 +206,17 @@ def build_subdivision(source_point, source_mass: float, targets: AtomicMeasure,
             return
         o = net.point(src_vid)
         if len(atom_idx) <= capacity:
-            pool = [(leaf_points[i], float(targets.masses[i])) for i in atom_idx]
+            pool = [(leaf_points[i], targets.masses[i]) for i in atom_idx]
             _wire(net, [src_vid] + [leaf_ids[i] for i in atom_idx],
                   *_greedy_small(o, pool, alpha))
             return
         if depth >= MAX_DEPTH:  # refuse to recurse further, star the cell out
             for i in atom_idx:
-                net.add_edge(src_vid, leaf_ids[i], float(targets.masses[i]))
+                net.add_edge(src_vid, leaf_ids[i], targets.masses[i])
             return
         groups = _subcells(box, lam, leaf_points, atom_idx)
         centers = [net.add_vertex([(a + b) / 2.0 for a, b in zip(*sub)]) for sub, _ in groups]
-        pool = [(net.point(cvid), float(sum(targets.masses[i] for i in members)))
+        pool = [(net.point(cvid), sum(targets.masses[i] for i in members))
                 for cvid, (_, members) in zip(centers, groups)]
         _wire(net, [src_vid] + centers, *_greedy_small(o, pool, alpha))
         for (sub, members), cvid in zip(groups, centers):

@@ -37,8 +37,11 @@ DEFAULT_SEED = 0
 
 @dataclass(frozen=True)
 class Instance:
+    """One parsed instance: alpha, the single source atom as a float tuple
+    and its mass, and the target measure."""
+
     alpha: float
-    source_point: np.ndarray
+    source_point: tuple[float, ...]
     source_mass: float
     targets: AtomicMeasure
 
@@ -75,7 +78,7 @@ def generate_points(kind: str, count: int, region: dict | None,
     def coords(key: str, default: float) -> np.ndarray:
         if key not in region:
             return np.array([default, default])
-        return _point(region.pop(key), f"region.{key}")
+        return np.array(_point(region.pop(key), f"region.{key}"))
 
     if kind == "uniform-square":
         low = coords("low", 0.0)
@@ -171,17 +174,17 @@ def _parse_json(text: str, alpha: float | None, seed: int | None) -> Instance:
 
     if has_targets:
         rows = doc["targets"]
-        if not isinstance(rows, list) or not rows:
-            raise InputError("targets must be a non-empty list")
+        if not isinstance(rows, list):
+            raise InputError("targets must be a list")
         pts, ms = [], []
         for i, row in enumerate(rows):
             if not isinstance(row, dict) or "point" not in row or "mass" not in row:
                 raise InputError(f'targets[{i}] must be {{"point": [...], "mass": m}}')
             pts.append(_point(row["point"], f"targets[{i}].point"))
             ms.append(_mass(row["mass"], f"targets[{i}].mass"))
-        if len({p.shape[0] for p in pts}) != 1:
+        if len(set(map(len, pts))) > 1:
             raise InputError("target points must share one dimension")
-        targets = AtomicMeasure(np.stack(pts), np.array(ms))
+        targets = AtomicMeasure(pts, ms)
     else:
         spec = doc["generator"]
         if not isinstance(spec, dict) or "kind" not in spec or "count" not in spec:
@@ -190,7 +193,7 @@ def _parse_json(text: str, alpha: float | None, seed: int | None) -> Instance:
         if not _is_int(count):
             raise InputError(f"generator count must be an integer, got {count!r}")
         pts = generate_points(spec["kind"], count, spec.get("region"), seed)
-        targets = AtomicMeasure(pts, np.full(count, source_mass / count))
+        targets = AtomicMeasure(pts, [source_mass / count] * count)
 
     return Instance(float(alpha), source_point, source_mass, targets)
 
@@ -207,14 +210,14 @@ def _parse_csv(text: str, alpha: float | None) -> Instance:
         raise InputError(f"csv header must be x,y[,z...],mass, got {rows[0]}")
     width = len(header)
 
-    def parse_row(row: list[str], lineno: int) -> tuple[np.ndarray, float]:
+    def parse_row(row: list[str], lineno: int) -> tuple[tuple[float, ...], float]:
         if len(row) != width:
             raise InputError(f"csv line {lineno}: expected {width} fields, got {len(row)}")
         try:
             vals = [float(c) for c in row]
         except ValueError as exc:
             raise InputError(f"csv line {lineno}: {exc}") from None
-        return np.array(vals[:-1]), vals[-1]
+        return tuple(vals[:-1]), vals[-1]
 
     source_point, source_mass = parse_row(rows[1], 2)
     pts, ms = [], []
@@ -222,7 +225,7 @@ def _parse_csv(text: str, alpha: float | None) -> Instance:
         p, m = parse_row(row, i)
         pts.append(p)
         ms.append(m)
-    targets = AtomicMeasure(np.stack(pts), np.array(ms))
+    targets = AtomicMeasure(pts, ms)
     return Instance(float(alpha), source_point, source_mass, targets)
 
 
@@ -250,15 +253,15 @@ def _number(val, where: str) -> float:
     raise InputError(f"{where} must be a number, got {val!r}")
 
 
-def _point(val, where: str) -> np.ndarray:
+def _point(val, where: str) -> tuple[float, ...]:
     if not isinstance(val, list) or len(val) < 2:
         raise InputError(f"{where} must be a coordinate list with d >= 2")
-    return np.array([_number(c, f"{where}[{i}]") for i, c in enumerate(val)])
+    return tuple(_number(c, f"{where}[{i}]") for i, c in enumerate(val))
 
 
 def _mass(val, where: str) -> float:
     m = _number(val, where)
-    if not (np.isfinite(m) and m > 0):
+    if not (math.isfinite(m) and m > 0):
         raise InputError(f"{where} must be positive and finite, got {m}")
     return m
 
@@ -270,7 +273,7 @@ def export_network(net: TransportNetwork, alpha: float) -> bytes:
         "alpha": alpha,
         "cost": net.cost_m_alpha(alpha),
         "vertices": [
-            {"id": v, "coords": [float(c) for c in net.point(v)]}
+            {"id": v, "coords": net.point(v)}
             for v in net.vertices()
         ],
         "edges": [
@@ -306,7 +309,7 @@ def import_network(data: bytes | str) -> tuple[TransportNetwork, float]:
         alpha = _number(doc["alpha"], "alpha")
         if not 0.0 < alpha <= 1.0:
             raise InputError(f"alpha must lie in (0, 1], got {alpha}")
-        vertices: dict[int, np.ndarray] = {}
+        vertices: dict[int, tuple[float, ...]] = {}
         for v in doc["vertices"]:
             vid = v["id"]
             if not _is_int(vid):
@@ -314,7 +317,7 @@ def import_network(data: bytes | str) -> tuple[TransportNetwork, float]:
             if vid in vertices:
                 raise InputError(f"duplicate vertex id {vid}")
             vertices[vid] = _point(v["coords"], f"vertex {vid} coords")
-            if not np.all(np.abs(vertices[vid]) <= MAX_NETWORK_COORDINATE):  # nan fails too
+            if not all(abs(x) <= MAX_NETWORK_COORDINATE for x in vertices[vid]):  # nan fails too
                 raise InputError(f"vertex {vid} coords must be finite and at most "
                                  f"{MAX_NETWORK_COORDINATE!r} in magnitude")
         edges = []

@@ -1,10 +1,10 @@
 """Atomic measures, their bounding boxes, and the one check of an instance.
 
 An atomic measure is a finite set of point masses sum(m_i * delta_{x_i}),
-kept as numpy arrays; AtomicMeasure checks only their shapes.  A bounding
+held as plain floats: AtomicMeasure converts its input once and checks only
+its shape.  single_atom reads the one atom of a source measure.  A bounding
 cube is a pair (lo, hi) of float tuples; construct._subcells splits one into
-cells.  Bounding boxes and the input checks run on plain floats, and the
-diameter is math.hypot of the spans, which needs no rescale.
+cells.  The diameter is math.hypot of the spans, which needs no rescale.
 
 check_source_targets is the only code that decides whether (source point,
 source mass, targets, alpha) is a solvable instance, and every library entry
@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-import numpy as np
-
 from .config import mass_tolerance
 from .errors import InputError
 
@@ -34,41 +32,51 @@ MAX_COORDINATE = 2.0 ** 1020
 
 
 class AtomicMeasure:
-    """Immutable finite collection of weighted points."""
+    """Immutable finite collection of weighted points.
+
+    points is a tuple of n float tuples of one length d, and masses a tuple
+    of n floats.  Any sequence of n coordinate sequences converts, an (n, d)
+    numpy array included; ragged or non-numeric points and a mass count
+    other than n raise ValueError.
+    """
 
     __slots__ = ("points", "masses")
 
     def __init__(self, points, masses):
-        pts = np.array(points, dtype=float)
-        ms = np.array(masses, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1)
-        if pts.ndim != 2:
+        try:
+            self.points = tuple(tuple(map(float, pt)) for pt in points)
+            self.masses = tuple(map(float, masses))
+        except TypeError as exc:
+            raise ValueError(f"points must be an (n, d) array of numbers: {exc}") from None
+        if len(set(map(len, self.points))) > 1:
             raise ValueError("points must be an (n, d) array")
-        if ms.shape != (pts.shape[0],):
+        if len(self.masses) != len(self.points):
             raise ValueError("masses must be a length-n vector")
-        pts.setflags(write=False)
-        ms.setflags(write=False)
-        self.points = pts
-        self.masses = ms
 
     @property
     def n(self) -> int:
-        return self.points.shape[0]
+        return len(self.points)
 
     @property
     def dimension(self) -> int:
-        return self.points.shape[1]
+        return len(self.points[0]) if self.points else 0
 
     def total_mass(self) -> float:
-        return float(self.masses.sum())
+        return math.fsum(self.masses)
 
-    def atoms(self) -> Iterator[tuple[np.ndarray, float]]:
-        for i in range(self.n):
-            yield self.points[i], float(self.masses[i])
+    def atoms(self) -> Iterator[tuple[tuple[float, ...], float]]:
+        return zip(self.points, self.masses)
 
     def __repr__(self) -> str:
         return f"AtomicMeasure(n={self.n}, total={self.total_mass():g})"
+
+
+def single_atom(source: AtomicMeasure) -> tuple[tuple[float, ...], float]:
+    """The (point, mass) of a source measure; InputError unless it has
+    exactly one atom."""
+    if source.n != 1:
+        raise InputError("the source must be a single atom")
+    return source.points[0], source.masses[0]
 
 
 def bounding_cube(points) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -135,28 +143,26 @@ def check_source_targets(source_point, source_mass: float, targets: AtomicMeasur
         raise InputError(
             f"source has dimension {d} but targets have dimension {targets.dimension}")
     tol = mass_tolerance(source_mass)
-    pts = targets.points.tolist()
     seen: dict[tuple, int] = {}
-    for i, (x, m) in enumerate(zip(pts, targets.masses.tolist())):
+    for i, (x, m) in enumerate(targets.atoms()):
         if not all(map(math.isfinite, x)):
             raise InputError(f"target atom {i}: point {x} is not finite")
         if not m > tol:
             raise InputError(
                 f"target atom {i}: mass {m!r} is not above the balance "
                 f"tolerance {tol!r} (1e-9 of the source mass)")
-        first = seen.setdefault(tuple(x), i)
+        first = seen.setdefault(x, i)
         if first != i:
             raise InputError(f"target atom {i}: same point as atom {first}")
     if not abs(targets.total_mass() - source_mass) <= tol:
         raise InputError(
             f"target masses sum to {targets.total_mass()!r} but the "
             f"source supplies {source_mass!r}")
-    pts.insert(0, src)
+    pts = (src, *targets.points)
     if max(abs(x) for pt in pts for x in pt) > MAX_COORDINATE:
         raise InputError(f"a coordinate exceeds {MAX_COORDINATE!r} in magnitude")
     if not math.isfinite(diameter(pts)):
         raise InputError("source and targets span more than a float can hold")
-    star = sum(m ** alpha * math.dist(src, x)
-               for x, m in zip(pts[1:], targets.masses.tolist()))
+    star = sum(m ** alpha * math.dist(src, x) for x, m in targets.atoms())
     if not math.isfinite(star):
         raise InputError(f"the star network's cost {star!r} is not a finite float")

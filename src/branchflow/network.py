@@ -296,14 +296,12 @@ class TransportNetwork:
 
         report = BalanceReport()
         root_key = self._points[self.root]
-        for pt, mass in source.atoms():
-            key = tuple(map(float, pt))
+        for key, mass in source.atoms():
             if key == root_key:
                 supply += mass
             else:
                 report.missing.append((key, mass))
-        for pt, mass in targets.atoms():
-            key = tuple(map(float, pt))
+        for key, mass in targets.atoms():
             vid = pos_index.get(key)
             if vid is None:
                 report.missing.append((key, -mass))

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 from .config import REL_TOL, cost_tolerance, mass_tolerance
 from .construct import build_small, build_star, build_subdivision
-from .errors import InputError, InvariantViolation
-from .measures import AtomicMeasure, diameter
+from .errors import InvariantViolation
+from .measures import AtomicMeasure, diameter, single_atom
 from .network import TransportNetwork
 from .optimize_local import local_sweep
 
@@ -247,7 +247,7 @@ def global_optimize(source: AtomicMeasure, targets: AtomicMeasure, alpha: float,
                     initializer: str = "subdivision") -> TransportNetwork:
     """Full pipeline: construct, then loop local sweeps, edge subdivision and
     reparent passes until a round stops paying; finish canonical.  Raises
-    InputError for a source of more than one atom or an instance that
+    InputError for a source that is not one atom or an instance that
     check_source_targets (run by the initializer) refuses,
     InvariantViolation when the result is not one tree that delivers every
     target atom with the flow balanced within the mass tolerance, and
@@ -259,14 +259,10 @@ def global_optimize(source: AtomicMeasure, targets: AtomicMeasure, alpha: float,
     build = _INITIALIZERS.get(initializer)
     if build is None:
         raise ValueError(f"unknown initializer {initializer!r}")
-    if source.n != 1:
-        raise InputError("the source must be a single atom")
-
-    src_point = source.points[0]
-    src_mass = source.total_mass()
+    src_point, src_mass = single_atom(source)
     net = build(src_point, src_mass, targets, alpha)
 
-    eps_improve = cost_tolerance(diameter([*source.points, *targets.points]), src_mass, alpha)
+    eps_improve = cost_tolerance(diameter([src_point, *targets.points]), src_mass, alpha)
 
     cost = net.cost_m_alpha(alpha)
     for _ in range(MAX_ROUNDS):

@@ -1,9 +1,10 @@
 """Slow, independent ground-truth solvers used to check the fast paths.
 
 grid_minimize_f minimizes the single-bifurcation cost over the closed
-triangle by brute force: a dense barycentric grid followed by rounds of a
-shrinking 9-point stencil.  The grid is built once per resolution and
-shared, read-only, by every call; the stencil evaluates f on plain floats.
+triangle by brute force: a dense barycentric grid of GRID_RESOLUTION steps
+per side followed by rounds of a shrinking 9-point stencil.  The grid is
+built once and shared, read-only, by every call; the stencil evaluates f on
+plain floats.
 Every triangle, collinear ones included, takes this one path.  It never
 uses the closed-form construction.
 
@@ -38,7 +39,7 @@ import numpy as np
 from .bifurcation import BifurcationInput, solve_two_targets
 from .construct import _wire, plan_cost
 from .errors import InputError
-from .measures import AtomicMeasure, check_source_targets
+from .measures import AtomicMeasure, check_source_targets, single_atom
 from .network import TransportNetwork
 
 logger = logging.getLogger(__name__)
@@ -52,18 +53,17 @@ NEWTON_TOL = 1e-20
 MAX_NEWTON_STEPS = 100
 
 
-@lru_cache(maxsize=8)
-def _barycentric_grid(resolution: int) -> np.ndarray:
-    """Read-only (3, n) array whose columns are every (i, j, k) / resolution
-    with i + j + k = resolution.
+@lru_cache(maxsize=1)
+def _barycentric_grid() -> np.ndarray:
+    """Read-only (3, n) array whose columns are every (i, j, k) / r with
+    i + j + k = r = GRID_RESOLUTION.
 
-    Built once per resolution and shared by every call.  Columns rather
-    than rows, so each coordinate of the grid points is one contiguous row.
+    Built once and shared by every call.  Columns rather than rows, so each
+    coordinate of the grid points is one contiguous row.
     """
-    idx = [(i, j, resolution - i - j)
-           for i in range(resolution + 1)
-           for j in range(resolution + 1 - i)]
-    bars = np.ascontiguousarray((np.array(idx, dtype=float) / resolution).T)
+    r = GRID_RESOLUTION
+    idx = [(i, j, r - i - j) for i in range(r + 1) for j in range(r + 1 - i)]
+    bars = np.ascontiguousarray((np.array(idx, dtype=float) / r).T)
     bars.setflags(write=False)
     return bars
 
@@ -72,20 +72,18 @@ def _barycentric_grid(resolution: int) -> np.ndarray:
 _STENCIL = tuple((di, dj) for di in (-1.0, 0.0, 1.0) for dj in (-1.0, 0.0, 1.0))
 
 
-def grid_minimize_f(inp: BifurcationInput, resolution: int = GRID_RESOLUTION):
+def grid_minimize_f(inp: BifurcationInput):
     """Brute-force minimum of f over the closed triangle OPQ.
 
     Returns (point, value) for any ambient dimension.  The barycentric
-    grid is built once per resolution and reused by later calls; the
-    stencil walk runs on plain floats.  A degenerate (collinear) triangle
-    takes the same path: its grid and stencil points cover the segment.
+    grid is built once and reused by later calls; the stencil walk runs on
+    plain floats.  A degenerate (collinear) triangle takes the same path:
+    its grid and stencil points cover the segment.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
     corners = np.stack([inp.o, inp.p, inp.q])
     a = float(inp.alpha)
     weights = (float(inp.m_o) ** a, float(inp.m_p) ** a, float(inp.m_q) ** a)
-    bars = _barycentric_grid(resolution)
+    bars = _barycentric_grid()
     points = corners.T @ bars
     values = sum(w * np.sqrt(((points - c[:, None]) ** 2).sum(axis=0))
                  for w, c in zip(weights, corners))
@@ -98,7 +96,7 @@ def grid_minimize_f(inp: BifurcationInput, resolution: int = GRID_RESOLUTION):
     w_o, w_p, w_q = weights
     dist = math.dist
 
-    h = 1.0 / resolution
+    h = 1.0 / GRID_RESOLUTION
     for _ in range(REFINE_ROUNDS):
         moves = [(di * h, dj * h) for di, dj in _STENCIL]
         for _ in range(64):  # walk at this scale while it helps
@@ -154,7 +152,7 @@ def _shapes_over(leaves: tuple[int, ...]) -> Iterator[Shape]:
                 yield (ls, rs)
 
 
-def _plan(shape: Shape, points: list, masses):
+def _plan(shape: Shape, points, masses):
     """A topology as a _greedy_small-style plan (junctions, edges).
 
     Node 0 is the source, nodes 1..n the targets and the junctions follow in
@@ -167,7 +165,7 @@ def _plan(shape: Shape, points: list, masses):
     def mass(shape: Shape) -> float:
         if isinstance(shape, tuple):
             return mass(shape[0]) + mass(shape[1])
-        return float(masses[shape])
+        return masses[shape]
 
     def walk(shape: Shape, parent: int):
         """Add shape's subtree below parent; return its start point."""
@@ -398,17 +396,14 @@ def enumerate_optimal(source: AtomicMeasure, targets: AtomicMeasure, alpha: floa
 
     Returns (network, cost).  The network is canonical: junctions that
     collapsed onto other vertices during descent are merged away.  Raises
-    InputError for a source of more than one atom, more than four targets,
+    InputError for a source that is not one atom, more than four targets,
     or an instance that check_source_targets refuses.
     """
-    if source.n != 1:
-        raise InputError("the source must be a single atom")
+    src, m_total = single_atom(source)
     if targets.n > 4:
         raise InputError("exhaustive search is limited to four targets")
-    src = source.points[0]
-    m_total = source.total_mass()
     check_source_targets(src, m_total, targets, alpha)
-    points = targets.points.tolist()
+    points = targets.points
     first = targets.n + 1
 
     best_cost = math.inf

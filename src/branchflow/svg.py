@@ -26,8 +26,8 @@ MARGIN_FRACTION = 0.05
 
 def render_svg(net: TransportNetwork, alpha: float) -> bytes:
     # SVG y points down; negate so networks render in math orientation.
-    xs = [float(net.point(v)[0]) for v in net.vertices()]
-    ys = [-float(net.point(v)[1]) for v in net.vertices()]
+    xs = [net.point(v)[0] for v in net.vertices()]
+    ys = [-net.point(v)[1] for v in net.vertices()]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-12)
@@ -41,11 +41,11 @@ def render_svg(net: TransportNetwork, alpha: float) -> bytes:
     decimals = max(9, 6 - math.floor(math.log10(max(vb_w, vb_h))))
 
     def fmt(x: float) -> str:
-        return repr(round(float(x), decimals))
+        return repr(round(x, decimals))
 
     def xy(v: int) -> tuple[float, float]:
         p = net.point(v)
-        return float(p[0]), -float(p[1])
+        return p[0], -p[1]
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -1,7 +1,9 @@
 """Unit tests for atomic measures, the instance check, bounding cubes and
 subdivision cells."""
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +28,11 @@ def test_atomic_measure_basics():
 
 def test_atomic_measure_arrays_are_frozen():
     mu = AtomicMeasure([[0.0, 0.0]], [1.0])
-    with pytest.raises(ValueError):
-        mu.points[0, 0] = 5.0
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
+        mu.points[0][0] = 5.0
+    with pytest.raises(TypeError):
+        mu.points[0] = (5.0, 0.0)
+    with pytest.raises(TypeError):
         mu.masses[0] = 2.0
 
 
@@ -37,6 +41,35 @@ def test_atomic_measure_shape_checks():
         AtomicMeasure(np.zeros((2, 2, 2)), [1.0, 1.0])
     with pytest.raises(ValueError):
         AtomicMeasure([[0.0, 1.0]], [1.0, 2.0])
+    with pytest.raises(ValueError):  # ragged
+        AtomicMeasure([[0.0, 1.0], [2.0]], [0.5, 0.5])
+    for bad in ("x", None):  # non-numeric
+        with pytest.raises(ValueError):
+            AtomicMeasure([[0.0, bad]], [1.0])
+    rng = np.random.default_rng(5)
+    pts, ms = rng.normal(size=(7, 3)), rng.uniform(size=7)
+    mu = AtomicMeasure(pts, ms)
+    assert mu.points == tuple(map(tuple, pts.tolist()))
+    assert mu.masses == tuple(ms.tolist())
+    assert {type(x) for pt in mu.points for x in pt} | set(map(type, mu.masses)) == {float}
+
+
+SOLVER_CORE = ("config", "errors", "measures", "network", "bifurcation", "construct",
+               "optimize_local", "optimize_global")
+
+
+@pytest.mark.parametrize("module", SOLVER_CORE)
+def test_solver_core_does_not_import_numpy(module):
+    """Measures, networks and the solver run on plain floats; numpy stays in
+    the point generators and the grid oracle."""
+    path = Path(__file__).parents[1] / "src" / "branchflow" / f"{module}.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}
 
 
 NAN, INF = math.nan, math.inf
@@ -56,7 +89,8 @@ BAD = {
     "source-mass-inf": ({"mass": INF}, "source mass"),
     "source-mass-0": ({"mass": 0.0}, "source mass"),
     "source-mass-negative": ({"mass": -1.0}, "source mass"),
-    "no-targets": ({"points": [], "masses": []}, "at least one target"),
+    "no-targets": ({"points": np.zeros((0, 2)), "masses": []}, "at least one target"),
+    "no-targets-lists": ({"points": [], "masses": []}, "at least one target"),
     "target-nan-coordinate": ({"points": [[2.0, 1.0], [2.0, NAN], [1.0, 2.0]]},
                               "atom 1: point .* not finite"),
     "target-inf-coordinate": ({"points": [[2.0, 1.0], [2.0, -1.0], [1.0, INF]]},
@@ -72,12 +106,11 @@ BAD = {
 
 
 def _targets(case):
-    points = case["points"] or np.zeros((0, len(case["point"])))
-    return AtomicMeasure(points, case["masses"])
+    return AtomicMeasure(case["points"], case["masses"])
 
 
 def _source(case):
-    return AtomicMeasure([case["point"]], [case["mass"]])
+    return case.get("source") or AtomicMeasure([case["point"]], [case["mass"]])
 
 
 def _json(case):
@@ -123,6 +156,16 @@ def test_check_source_targets_names_the_broken_rule(case):
     c = {**BASE, **changes}
     with pytest.raises(InputError, match=words):
         check_source_targets(c["point"], c["mass"], _targets(c), c["alpha"])
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in ENTRY_POINTS if e.startswith(("global_optimize", "enumerate"))])
+def test_entry_points_refuse_a_source_of_two_atoms(entry):
+    """The entry points that take a source measure read it through
+    single_atom, which refuses any other number of atoms."""
+    two_atoms = AtomicMeasure([(0.0, 0.0), (1.0, 0.0)], [0.5, 0.5])
+    with pytest.raises(InputError, match="single atom"):
+        ENTRY_POINTS[entry]({**BASE, "source": two_atoms})
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)

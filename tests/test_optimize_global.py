@@ -234,7 +234,7 @@ def bfs_extra_costs(net, u, alpha):
 def _subdivision_net(dim, alpha, seed, n=20):
     rng = np.random.default_rng(seed)
     tg = AtomicMeasure(rng.uniform(0.0, 1.0, size=(n, dim)), rng.uniform(0.1, 1.0, size=n))
-    net = build_subdivision(np.full(dim, 0.5), float(tg.masses.sum()), tg, alpha)
+    net = build_subdivision(np.full(dim, 0.5), float(np.sum(tg.masses)), tg, alpha)
     plant_midpoints(net)
     return net
 

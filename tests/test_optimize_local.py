@@ -169,7 +169,7 @@ def test_splice_matches_wired_plan(dim, alpha):
     rng = np.random.default_rng(20 + dim)
     pts = rng.uniform(0.0, 1.0, size=(40, dim))
     tg = AtomicMeasure(pts, rng.uniform(0.1, 1.0, size=40))
-    m = float(tg.masses.sum())
+    m = float(np.sum(tg.masses))
     src = AtomicMeasure([np.full(dim, 0.5)], [m])
     net = build_subdivision(np.full(dim, 0.5), m, tg, alpha)
     eps = cost_tolerance(net.bbox_diameter(), m, alpha)
@@ -222,7 +222,7 @@ def test_plan_score_equals_wired_cost_bitwise(dim):
 def _random_subdivision(dim, alpha, seed, n=25):
     rng = np.random.default_rng(seed)
     tg = AtomicMeasure(rng.uniform(0.0, 1.0, size=(n, dim)), rng.uniform(0.1, 1.0, size=n))
-    m = float(tg.masses.sum())
+    m = float(np.sum(tg.masses))
     net = build_subdivision(np.full(dim, 0.5), m, tg, alpha)
     return net, cost_tolerance(net.bbox_diameter(), m, alpha)
 
