@@ -25,14 +25,16 @@ O, B*, P sits at distance (cot t1 / 2)|OP| from the midpoint of OP, along the
 perpendicular through the foot M of the altitude from Q.  Likewise S for the
 chord OQ.  B* is then the reflection of O across the line RS (both circles
 pass through O and B*).  All vectors live in the affine hull of O, P, Q, so
-the same arithmetic covers any ambient dimension.
+the same arithmetic covers any ambient dimension.  If the construction breaks
+down, or its point costs no less than the best corner, the best corner is
+returned: f is convex, so no interior point dearer than a corner is kept.
 
 The solver runs on plain Python floats: points are tuples, and the three
 side lengths (math.dist) and the three pairwise dot products of the
-triangle are computed once, then shared by the angle tests, the corner
-costs and the inside-the-triangle guard.  A triangle whose longest side is
-outside 2**+-500 is solved scaled by an exact power of two, so that the
-squared lengths in the angle tests neither underflow nor overflow.
+triangle are computed once, then shared by the angle tests and the corner
+costs.  A triangle whose longest side is outside 2**+-200 is solved scaled
+by an exact power of two, so that the products of four lengths in the angle
+tests neither underflow nor overflow.
 
 The mass terms of a call, the optimal angles and the weights m_o**a, m_p**a
 and m_q**a, depend on (m_p, m_q, alpha) alone and come from _mass_terms, an
@@ -93,23 +95,18 @@ class BifurcationInput:
 
 @dataclass(frozen=True)
 class BifurcationResult:
-    """The optimal branch point B*, its cost f(B*), the optimal angles, and
-    v_cost = f(O), the cost of the plain V shape."""
+    """The optimal branch point B*, its cost f(B*), and v_cost = f(O), the
+    cost of the plain V shape."""
 
     case: BranchCase
     b_star: tuple
     cost: float
-    angles: tuple[float, float, float]
     v_cost: float
 
 
 def _floats(v) -> tuple:
     """v as a tuple of floats; a tuple passes through as it is."""
     return v if type(v) is tuple else tuple(map(float, v))
-
-
-def _dot(u, v) -> float:
-    return sum(map(mul, u, v))
 
 
 def _clamped_acos(x: float) -> float:
@@ -176,43 +173,6 @@ def balance_residual(b, inp: BifurcationInput) -> float:
     return math.hypot(*total)
 
 
-def _closest_point_on_triangle(b, o, p, q):
-    """Euclidean projection of b onto the closed triangle opq."""
-    ab = tuple(map(sub, p, o))
-    ac = tuple(map(sub, q, o))
-    ap = tuple(map(sub, b, o))
-    d1 = _dot(ab, ap)
-    d2 = _dot(ac, ap)
-    if d1 <= 0 and d2 <= 0:
-        return o
-    bp = tuple(map(sub, b, p))
-    d3 = _dot(ab, bp)
-    d4 = _dot(ac, bp)
-    if d3 >= 0 and d4 <= d3:
-        return p
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0 and d1 >= 0 and d3 <= 0:
-        t = d1 / (d1 - d3)
-        return tuple(x + t * y for x, y in zip(o, ab))
-    cp = tuple(map(sub, b, q))
-    d5 = _dot(ab, cp)
-    d6 = _dot(ac, cp)
-    if d6 >= 0 and d5 <= d6:
-        return q
-    vb = d5 * d2 - d1 * d6
-    if vb <= 0 and d2 >= 0 and d6 <= 0:
-        t = d2 / (d2 - d6)
-        return tuple(x + t * y for x, y in zip(o, ac))
-    va = d3 * d6 - d5 * d4
-    if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
-        t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return tuple(x + t * (z - x) for x, z in zip(p, q))
-    denom = va + vb + vc
-    v = vb / denom
-    w = vc / denom
-    return tuple(x + y * v + z * w for x, y, z in zip(o, ab, ac))
-
-
 def solve_two_targets(inp: BifurcationInput) -> BifurcationResult:
     """Globally optimal branch point for a single bifurcation.
 
@@ -221,19 +181,18 @@ def solve_two_targets(inp: BifurcationInput) -> BifurcationResult:
     branch point from the circumcenter reflection construction.
     """
     o, p, q = _floats(inp.o), _floats(inp.p), _floats(inp.q)
-    angles, w_o, w_p, w_q = _mass_terms(inp.m_p, inp.m_q, inp.alpha)
-    t1, t2, t3 = angles
+    (t1, t2, t3), w_o, w_p, w_q = _mass_terms(inp.m_p, inp.m_q, inp.alpha)
     l_op = math.dist(o, p)
     l_oq = math.dist(o, q)
     l_pq = math.dist(p, q)
     scale = max(l_op, l_oq, l_pq)
     k = math.frexp(scale)[1]
-    if not -500 < k < 500:
+    if not -200 < k < 200:
         return _rescaled(inp, o, p, q, k)
 
     if scale == 0.0:
         # all three points coincide: nothing to transport anywhere
-        return BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, o, 0.0, angles, 0.0)
+        return BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, o, 0.0, 0.0)
     tol = _COINCIDENT_REL * scale
     if l_pq <= tol:
         raise DegenerateInputError("the two targets coincide")
@@ -241,7 +200,7 @@ def solve_two_targets(inp: BifurcationInput) -> BifurcationResult:
     f_o = w_p * l_op + w_q * l_oq  # f at a corner comes from the side lengths
     # a target sitting on the source absorbs the branch point
     if l_op <= tol or l_oq <= tol:
-        return BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, o, f_o, angles, f_o)
+        return BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o)
     # The angle tests below are atan2(|u x v|, u.v) written out, with
     # |u x v|**2 = |u|**2 |v|**2 - (u.v)**2: stable near 0 and pi.  The dot
     # products stay sum(map(mul, ...)), whose int start turns a -0.0 into 0.0.
@@ -251,17 +210,17 @@ def solve_two_targets(inp: BifurcationInput) -> BifurcationResult:
     dot_o = sum(map(mul, op, oq))
     if math.atan2(math.sqrt(max(l_op * l_op * l_oq * l_oq - dot_o * dot_o, 0.0)),
                   dot_o) >= t3:  # the angle at O
-        return BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, o, f_o, angles, f_o)
+        return BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o)
     f_q = w_o * l_oq + w_p * l_pq
     dot_q = sum(map(mul, oq, pq))
     if math.atan2(math.sqrt(max(l_oq * l_oq * l_pq * l_pq - dot_q * dot_q, 0.0)),
                   dot_q) >= t1:  # the angle at Q
-        return BifurcationResult(BranchCase.COLLAPSE_TO_Q, q, f_q, angles, f_o)
+        return BifurcationResult(BranchCase.COLLAPSE_TO_Q, q, f_q, f_o)
     f_p = w_o * l_op + w_q * l_pq
     dot_p = -sum(map(mul, op, pq))
     if math.atan2(math.sqrt(max(l_op * l_op * l_pq * l_pq - dot_p * dot_p, 0.0)),
                   dot_p) >= t2:  # the angle at P
-        return BifurcationResult(BranchCase.COLLAPSE_TO_P, p, f_p, angles, f_o)
+        return BifurcationResult(BranchCase.COLLAPSE_TO_P, p, f_p, f_o)
 
     # interior branch point via circumcenters of the chords OP and OQ
     try:
@@ -285,25 +244,15 @@ def solve_two_targets(inp: BifurcationInput) -> BifurcationResult:
     except ZeroDivisionError:
         b = None
     if b is not None and all(map(math.isfinite, b)):
-        # guard: the reflection must land inside the closed triangle
-        ob = tuple(map(sub, b, o))
-        d00, d01, d11 = l_op * l_op, dot_o, l_oq * l_oq
-        denom = d00 * d11 - d01 * d01
-        if denom > 0.0:
-            d20, d21 = sum(map(mul, ob, op)), sum(map(mul, ob, oq))
-            s_bar = (d11 * d20 - d01 * d21) / denom
-            t_bar = (d00 * d21 - d01 * d20) / denom
-            if min(1.0 - s_bar - t_bar, s_bar, t_bar) < -1e-9:
-                b = _closest_point_on_triangle(b, o, p, q)
         cost = w_o * math.dist(b, o) + w_p * math.dist(p, b) + w_q * math.dist(q, b)
         if cost < min(f_o, f_q, f_p):
-            return BifurcationResult(BranchCase.INTERIOR_Y, b, cost, angles, f_o)
+            return BifurcationResult(BranchCase.INTERIOR_Y, b, cost, f_o)
     # The construction broke down, or it ended no lower than a corner, as it
     # can on a sliver triangle (two targets a hair above the coincidence
     # threshold); f is convex, so the best corner is the better answer.
-    return min(BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, o, f_o, angles, f_o),
-               BifurcationResult(BranchCase.COLLAPSE_TO_Q, q, f_q, angles, f_o),
-               BifurcationResult(BranchCase.COLLAPSE_TO_P, p, f_p, angles, f_o),
+    return min(BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o),
+               BifurcationResult(BranchCase.COLLAPSE_TO_Q, q, f_q, f_o),
+               BifurcationResult(BranchCase.COLLAPSE_TO_P, p, f_p, f_o),
                key=attrgetter("cost"))
 
 
@@ -316,8 +265,7 @@ def _rescaled(inp: BifurcationInput, o: tuple, p: tuple, q: tuple,
     corner = {BranchCase.V_SHAPE_AT_SOURCE: o, BranchCase.COLLAPSE_TO_P: p,
               BranchCase.COLLAPSE_TO_Q: q}.get(res.case)
     b = corner if corner is not None else tuple(math.ldexp(x, k) for x in res.b_star)
-    return BifurcationResult(res.case, b, math.ldexp(res.cost, k), res.angles,
-                             math.ldexp(res.v_cost, k))
+    return BifurcationResult(res.case, b, math.ldexp(res.cost, k), math.ldexp(res.v_cost, k))
 
 
 def advantage(inp: BifurcationInput) -> float:

@@ -9,6 +9,12 @@ from __future__ import annotations
 REL_TOL = 1e-9  # a sweep or round gaining less, relative to its cost, stalls
 
 
+def stalled(before: float, after: float) -> bool:
+    """True when a sweep or round that took the cost from before to after
+    gained at most REL_TOL of before."""
+    return before - after <= REL_TOL * max(abs(before), 1e-300)
+
+
 def mass_tolerance(total_mass: float) -> float:
     """Balance tolerance: 1e-9 of the total source mass."""
     return 1e-9 * abs(total_mass)

@@ -30,7 +30,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .config import REL_TOL, cost_tolerance, mass_tolerance
+from .config import cost_tolerance, mass_tolerance, stalled
 from .construct import build_small, build_star, build_subdivision
 from .errors import InvariantViolation
 from .measures import AtomicMeasure, diameter, single_atom
@@ -277,7 +277,7 @@ def global_optimize(source: AtomicMeasure, targets: AtomicMeasure, alpha: float,
         if improvement <= 0.0:
             net.restore_from(round_snapshot)
             break
-        if improvement <= REL_TOL * max(abs(round_start), 1e-300):
+        if stalled(round_start, cost):
             break
 
     net.canonicalize(collapse_passthrough=True)

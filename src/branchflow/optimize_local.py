@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .config import REL_TOL, mass_tolerance
+from .config import mass_tolerance, stalled
 from .construct import _greedy_small, _wire, plan_cost
 from .network import TransportNetwork
 
@@ -114,8 +114,7 @@ def local_sweep(net: TransportNetwork, alpha: float, eps_improve: float,
         new_cost = net.cost_m_alpha(alpha)
         if on_sweep is not None:
             on_sweep(net)
-        stalled = cost - new_cost <= REL_TOL * max(abs(cost), 1e-300)
+        if not improved or stalled(cost, new_cost):
+            return new_cost
         cost = new_cost
-        if not improved or stalled:
-            break
     return cost

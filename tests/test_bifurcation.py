@@ -54,21 +54,37 @@ def test_spot_interior_solution():
     assert res.case is BranchCase.INTERIOR_Y
     assert np.allclose(res.b_star, [1.0, 0.0], atol=1e-8)
     assert res.cost == pytest.approx(3.0, abs=1e-9)
-    assert res.angles[0] == pytest.approx(3.0 * math.pi / 4.0, abs=1e-9)
-    assert res.angles[2] == pytest.approx(math.pi / 2.0, abs=1e-9)
+    angles = branch_angles(SPOT.m_p, SPOT.m_q, SPOT.m_o, SPOT.alpha)
+    assert angles[0] == pytest.approx(3.0 * math.pi / 4.0, abs=1e-9)
+    assert angles[2] == pytest.approx(math.pi / 2.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("k", [-600, 600])
-def test_spot_at_extreme_scales_is_the_unit_result_scaled(k):
-    """Squared lengths at 2**+-600 leave the float range, so the triangle is
-    solved rescaled; scaling by a power of two is exact either way."""
+# (triangle, its case at unit scale): SPOT, a thin Y whose junction sits at
+# x = 1 - 0.1 (a V would cost 1.42 against 1.10), and a right angle at O that
+# sits exactly on the V-shape boundary t3 = pi/2
+SCALED = {
+    "spot": (SPOT, BranchCase.INTERIOR_Y),
+    "thin": (BifurcationInput(o=(0.0, 0.0), p=(1.0, 0.1), q=(1.0, -0.1),
+                              m_p=0.5, m_q=0.5, alpha=0.5), BranchCase.INTERIOR_Y),
+    "right": (BifurcationInput(o=(0.0, 0.0), p=(1.0, 1.0), q=(1.0, -1.0),
+                               m_p=0.5, m_q=0.5, alpha=0.5), BranchCase.V_SHAPE_AT_SOURCE),
+}
+
+
+@pytest.mark.parametrize("k", range(-1000, 1001))
+@pytest.mark.parametrize("name", SCALED)
+def test_spot_at_extreme_scales_is_the_unit_result_scaled(name, k):
+    """The angle tests multiply four lengths, which leave the float range
+    past about 2**+-256, so a triangle outside 2**+-200 is solved rescaled;
+    scaling by a power of two is exact either way."""
     def up(v):
         return tuple(math.ldexp(x, k) for x in v)
 
-    ref = solve_two_targets(SPOT)
-    res = solve_two_targets(BifurcationInput(o=up(SPOT.o), p=up(SPOT.p), q=up(SPOT.q),
-                                             m_p=0.5, m_q=0.5, alpha=0.5))
-    assert res.case is ref.case is BranchCase.INTERIOR_Y
+    inp, case = SCALED[name]
+    ref = solve_two_targets(inp)
+    res = solve_two_targets(BifurcationInput(o=up(inp.o), p=up(inp.p), q=up(inp.q),
+                                             m_p=inp.m_p, m_q=inp.m_q, alpha=inp.alpha))
+    assert res.case is ref.case is case
     assert res.b_star == up(ref.b_star)
     assert res.cost == math.ldexp(ref.cost, k)
     assert res.v_cost == math.ldexp(ref.v_cost, k)

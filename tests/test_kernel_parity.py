@@ -12,6 +12,10 @@ formulas break that rule on slivers: with the two targets a factor 2 above
 the coincidence threshold nearly every interior point they return costs
 more than a corner, and there the construction is too ill-conditioned for
 two roundings to agree on B*.
+
+The reference keeps the old inside-the-triangle projection; the kernel has
+none, and it still matches this reference within 1e-12 of the scale on all
+10,400 inputs.
 """
 import math
 

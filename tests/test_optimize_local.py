@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from branchflow import optimize_local
-from branchflow.config import REL_TOL, cost_tolerance
+from branchflow.config import cost_tolerance, stalled
 from branchflow.construct import _greedy_small, _wire, build_subdivision
 from branchflow.instances import export_network
 from branchflow.measures import AtomicMeasure
@@ -242,10 +242,9 @@ def _sweep_every_vertex(net, alpha, eps):
             if net.has_vertex(u) and improve_vertex(net, u, alpha, eps):
                 improved = True
         new_cost = net.cost_m_alpha(alpha)
-        stalled = cost - new_cost <= REL_TOL * max(abs(cost), 1e-300)
+        if not improved or stalled(cost, new_cost):
+            return new_cost
         cost = new_cost
-        if not improved or stalled:
-            break
     return cost
 
 

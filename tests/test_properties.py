@@ -88,7 +88,7 @@ def test_power_of_two_scale_equivariance(seed):
     base = global_optimize(*_scaled(source_point, points, masses, 0), alpha)
     _, base_oracle = enumerate_optimal(
         *_scaled(source_point, points[:few], masses[:few], 0), alpha)
-    for k in (-600, -40, 40, 600):
+    for k in (-600, -300, -40, 40, 260, 600):
         net = global_optimize(*_scaled(source_point, points, masses, k), alpha)
         assert net.vertices() == base.vertices(), k
         assert net.edges() == base.edges(), k
