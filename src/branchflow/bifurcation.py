@@ -29,28 +29,27 @@ the same arithmetic covers any ambient dimension.  If the construction breaks
 down, or its point costs no less than the best corner, the best corner is
 returned: f is convex, so no interior point dearer than a corner is kept.
 
-The solver runs on plain Python floats: points are tuples, and the three
-side lengths (math.dist) and the three pairwise dot products of the
-triangle are computed once, then shared by the angle tests and the corner
-costs.  A triangle whose longest side is outside 2**+-200 is solved scaled
-by an exact power of two, so that the products of four lengths in the angle
-tests neither underflow nor overflow.
+branch_point, the kernel, takes tuples of floats and checks nothing: the
+solver and the oracle's descent call it, and solve_two_targets wraps it for
+outside callers behind BifurcationInput, which rejects NaN and infinite
+masses and coordinates.  A triangle whose longest side is outside 2**+-200
+is solved scaled by an exact power of two, so that the products of four
+lengths in the angle tests neither underflow nor overflow.
 
-The mass terms of a call, the optimal angles and the weights m_o**a, m_p**a
-and m_q**a, depend on (m_p, m_q, alpha) alone and come from _mass_terms, an
-lru_cache of MASS_TERMS_CACHE = 512 entries.  In n = 30 solves the key
-repeats on 95% of calls with equal target masses and 84% with random ones
-in the plane (97% and 88% in 3-d), and one such solve meets at most 252
-distinct keys, so the bound holds a solve's keys with room to spare.
-BifurcationInput rejects NaN and infinite masses and coordinates.
+The mass terms, the optimal angles, the halves cot(t1)/2 and cot(t2)/2 and
+the weights m_o**a, m_p**a and m_q**a, depend on (m_p, m_q, alpha) alone and
+come from _mass_terms, an lru_cache of MASS_TERMS_CACHE = 512 entries.  In
+n = 30 solves the key repeats on 95% of calls with equal target masses and
+84% with random ones in the plane (97% and 88% in 3-d), and one such solve
+meets at most 252 distinct keys, so the bound holds them with room to spare.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter, mul, sub
+from operator import itemgetter, mul, sub
 
 from .errors import DegenerateInputError
 
@@ -138,11 +137,15 @@ def branch_angles(m_p: float, m_q: float, m_o: float, alpha: float) -> tuple[flo
 
 @lru_cache(maxsize=MASS_TERMS_CACHE, typed=True)
 def _mass_terms(m_p: float, m_q: float, alpha: float):
-    """(branch_angles, m_o**alpha, m_p**alpha, m_q**alpha) for one mass
-    split, memoized.  typed=True keeps an int or numpy mass from serving a
-    float key, so a cached result is the one a fresh computation gives."""
+    """(branch_angles, (cot t1 / 2, cot t2 / 2), m_o**a, m_p**a, m_q**a), memoized;
+    typed=True keeps an int or numpy mass from serving a float key."""
     m_o = m_p + m_q
-    return branch_angles(m_p, m_q, m_o, alpha), m_o ** alpha, m_p ** alpha, m_q ** alpha
+    t1, t2, t3 = branch_angles(m_p, m_q, m_o, alpha)
+    try:
+        halves = ((math.cos(t1) / math.sin(t1)) / 2.0, (math.cos(t2) / math.sin(t2)) / 2.0)
+    except ZeroDivisionError:  # a zero sine: nan makes B* non-finite, so a corner wins
+        halves = (math.nan, math.nan)
+    return (t1, t2, t3), halves, m_o ** alpha, m_p ** alpha, m_q ** alpha
 
 
 def objective_f(b, inp: BifurcationInput) -> float:
@@ -174,33 +177,39 @@ def balance_residual(b, inp: BifurcationInput) -> float:
 
 
 def solve_two_targets(inp: BifurcationInput) -> BifurcationResult:
-    """Globally optimal branch point for a single bifurcation.
+    """Globally optimal branch point for a single bifurcation."""
+    return BifurcationResult(*branch_point(_floats(inp.o), _floats(inp.p), _floats(inp.q),
+                                           inp.m_p, inp.m_q, inp.alpha))
 
-    Classifies the configuration against the optimal angles, then either
-    returns a triangle vertex (degenerate cases) or builds the interior
-    branch point from the circumcenter reflection construction.
-    """
-    o, p, q = _floats(inp.o), _floats(inp.p), _floats(inp.q)
-    (t1, t2, t3), w_o, w_p, w_q = _mass_terms(inp.m_p, inp.m_q, inp.alpha)
+
+def branch_point(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float, alpha: float) -> tuple:
+    """(case, b_star, cost, v_cost) for unchecked float tuples, masses and
+    alpha: classifies the triangle against the optimal angles, then returns
+    a vertex or builds the interior branch point by circumcenter reflection."""
     l_op = math.dist(o, p)
     l_oq = math.dist(o, q)
     l_pq = math.dist(p, q)
     scale = max(l_op, l_oq, l_pq)
     k = math.frexp(scale)[1]
-    if not -200 < k < 200:
-        return _rescaled(inp, o, p, q, k)
+    if not -200 < k < 200:  # solve scaled by 2**-k, exactly; a corner B* is the point given
+        case, b, cost, v_cost = branch_point(
+            *(tuple(math.ldexp(x, -k) for x in v) for v in (o, p, q)), m_p, m_q, alpha)
+        b = {BranchCase.V_SHAPE_AT_SOURCE: o, BranchCase.COLLAPSE_TO_P: p,
+             BranchCase.COLLAPSE_TO_Q: q}.get(case) or tuple(math.ldexp(x, k) for x in b)
+        return case, b, math.ldexp(cost, k), math.ldexp(v_cost, k)
 
     if scale == 0.0:
         # all three points coincide: nothing to transport anywhere
-        return BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, o, 0.0, 0.0)
+        return BranchCase.V_SHAPE_AT_SOURCE, o, 0.0, 0.0
     tol = _COINCIDENT_REL * scale
     if l_pq <= tol:
         raise DegenerateInputError("the two targets coincide")
 
+    (t1, t2, t3), (h1, h2), w_o, w_p, w_q = _mass_terms(m_p, m_q, alpha)
     f_o = w_p * l_op + w_q * l_oq  # f at a corner comes from the side lengths
     # a target sitting on the source absorbs the branch point
     if l_op <= tol or l_oq <= tol:
-        return BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o)
+        return BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o
     # The angle tests below are atan2(|u x v|, u.v) written out, with
     # |u x v|**2 = |u|**2 |v|**2 - (u.v)**2: stable near 0 and pi.  The dot
     # products stay sum(map(mul, ...)), whose int start turns a -0.0 into 0.0.
@@ -210,17 +219,17 @@ def solve_two_targets(inp: BifurcationInput) -> BifurcationResult:
     dot_o = sum(map(mul, op, oq))
     if math.atan2(math.sqrt(max(l_op * l_op * l_oq * l_oq - dot_o * dot_o, 0.0)),
                   dot_o) >= t3:  # the angle at O
-        return BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o)
+        return BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o
     f_q = w_o * l_oq + w_p * l_pq
     dot_q = sum(map(mul, oq, pq))
     if math.atan2(math.sqrt(max(l_oq * l_oq * l_pq * l_pq - dot_q * dot_q, 0.0)),
                   dot_q) >= t1:  # the angle at Q
-        return BifurcationResult(BranchCase.COLLAPSE_TO_Q, q, f_q, f_o)
+        return BranchCase.COLLAPSE_TO_Q, q, f_q, f_o
     f_p = w_o * l_op + w_q * l_pq
     dot_p = -sum(map(mul, op, pq))
     if math.atan2(math.sqrt(max(l_op * l_op * l_pq * l_pq - dot_p * dot_p, 0.0)),
                   dot_p) >= t2:  # the angle at P
-        return BifurcationResult(BranchCase.COLLAPSE_TO_P, p, f_p, f_o)
+        return BranchCase.COLLAPSE_TO_P, p, f_p, f_o
 
     # interior branch point via circumcenters of the chords OP and OQ
     try:
@@ -230,42 +239,33 @@ def solve_two_targets(inp: BifurcationInput) -> BifurcationResult:
         ph = [c_p * y - x for x, y in zip(op, oq)]
         n_qm = math.hypot(*qm)
         n_ph = math.hypot(*ph)
-        h1 = (math.cos(t1) / math.sin(t1)) / 2.0
-        h2 = (math.cos(t2) / math.sin(t2)) / 2.0
-        r = [(x + y) / 2.0 - h1 * (z / n_qm) * l_op for x, y, z in zip(o, p, qm)]
-        s = [(x + y) / 2.0 - h2 * (z / n_ph) * l_oq for x, y, z in zip(o, q, ph)]
-        rs = list(map(sub, s, r))
+        r, s, rs, o_r = [], [], [], []
+        for x, y, z, u, v in zip(o, p, q, qm, ph):
+            r_i = (x + y) / 2.0 - h1 * (u / n_qm) * l_op
+            s_i = (x + z) / 2.0 - h2 * (v / n_ph) * l_oq
+            r.append(r_i)
+            s.append(s_i)
+            rs.append(s_i - r_i)
+            o_r.append(x - r_i)
         rs_sq = sum(map(mul, rs, rs))
         if rs_sq <= tol * tol:
             lam = 0.0  # concentric limit: reflect straight through the center
         else:
-            lam = sum(map(mul, map(sub, o, r), rs)) / rs_sq
+            lam = sum(map(mul, o_r, rs)) / rs_sq
         b = tuple(2.0 * ((1.0 - lam) * x + lam * y) - z for x, y, z in zip(r, s, o))
     except ZeroDivisionError:
         b = None
     if b is not None and all(map(math.isfinite, b)):
         cost = w_o * math.dist(b, o) + w_p * math.dist(p, b) + w_q * math.dist(q, b)
         if cost < min(f_o, f_q, f_p):
-            return BifurcationResult(BranchCase.INTERIOR_Y, b, cost, f_o)
+            return BranchCase.INTERIOR_Y, b, cost, f_o
     # The construction broke down, or it ended no lower than a corner, as it
     # can on a sliver triangle (two targets a hair above the coincidence
     # threshold); f is convex, so the best corner is the better answer.
-    return min(BifurcationResult(BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o),
-               BifurcationResult(BranchCase.COLLAPSE_TO_Q, q, f_q, f_o),
-               BifurcationResult(BranchCase.COLLAPSE_TO_P, p, f_p, f_o),
-               key=attrgetter("cost"))
-
-
-def _rescaled(inp: BifurcationInput, o: tuple, p: tuple, q: tuple,
-              k: int) -> BifurcationResult:
-    """solve_two_targets on the triangle scaled by 2**-k, which is exact, with
-    B* and the costs scaled back; a corner B* is the corner point given."""
-    down = [tuple(math.ldexp(x, -k) for x in v) for v in (o, p, q)]
-    res = solve_two_targets(replace(inp, o=down[0], p=down[1], q=down[2]))
-    corner = {BranchCase.V_SHAPE_AT_SOURCE: o, BranchCase.COLLAPSE_TO_P: p,
-              BranchCase.COLLAPSE_TO_Q: q}.get(res.case)
-    b = corner if corner is not None else tuple(math.ldexp(x, k) for x in res.b_star)
-    return BifurcationResult(res.case, b, math.ldexp(res.cost, k), math.ldexp(res.v_cost, k))
+    return min((BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o),
+               (BranchCase.COLLAPSE_TO_Q, q, f_q, f_o),
+               (BranchCase.COLLAPSE_TO_P, p, f_p, f_o),
+               key=itemgetter(2))
 
 
 def advantage(inp: BifurcationInput) -> float:

@@ -275,9 +275,10 @@ class TransportNetwork:
     # ---------------- cost and balance ----------------
 
     def cost_m_alpha(self, alpha: float) -> float:
+        points, weight = self._points, self._weight
         total = 0.0
-        for child in self._parent:
-            total += self._weight[child] ** alpha * self.edge_length(child)
+        for child, parent in self._parent.items():
+            total += weight[child] ** alpha * math.dist(points[parent], points[child])
         return total
 
     def check_balance(self, source: AtomicMeasure, targets: AtomicMeasure) -> BalanceReport:

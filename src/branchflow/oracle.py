@@ -36,9 +36,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .bifurcation import BifurcationInput, solve_two_targets
+from .bifurcation import BifurcationInput, branch_point
+from .bifurcation import solve_two_targets  # noqa: F401 (perfbench's tracer wraps this name here)
 from .construct import _wire, plan_cost
-from .errors import InputError
+from .errors import DegenerateInputError, InputError
 from .measures import AtomicMeasure, check_source_targets, single_atom
 from .network import TransportNetwork
 
@@ -378,11 +379,9 @@ def _descend(points: list, edges, first: int, alpha: float) -> bool:
     for _ in range(MAX_DESCENT_PASSES):
         moved = 0.0
         for o, j, (p, m_p), (q, m_q) in stars:
-            inp = BifurcationInput(o=points[o], p=points[p], q=points[q],
-                                   m_p=m_p, m_q=m_q, alpha=alpha)
             try:
-                new_pos = solve_two_targets(inp).b_star
-            except InputError:
+                new_pos = branch_point(points[o], points[p], points[q], m_p, m_q, alpha)[1]
+            except DegenerateInputError:
                 new_pos = points[j]  # children coincide; leave the junction be
             moved = max(moved, math.dist(new_pos, points[j]))
             points[j] = new_pos

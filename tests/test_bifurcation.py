@@ -181,6 +181,9 @@ def test_input_validation():
     with pytest.raises(ValueError):
         BifurcationInput(o=(0.0, 0.0), p=(1.0, 0.0, 0.0), q=(0.0, 1.0),
                          m_p=0.5, m_q=0.5, alpha=0.5)
+    with pytest.raises(ValueError):
+        BifurcationInput(o=(0.0, 0.0), p=(1.0, 0.0), q=(0.0, 1.0),
+                         m_p=0.5, m_q=0.5, alpha=1.5)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -188,6 +191,7 @@ def test_input_validation():
     ("m_q", math.inf),           # raised ZeroDivisionError
     ("p", (math.inf, 1.0)),      # raised DegenerateInputError: targets coincide
     ("q", (2.0, math.nan)),      # gave cost nan
+    ("alpha", math.nan),
 ])
 def test_non_finite_input_rejected(field, value):
     fields = {"o": SPOT.o, "p": SPOT.p, "q": SPOT.q, "m_p": SPOT.m_p, "m_q": SPOT.m_q,
@@ -223,11 +227,13 @@ def test_mass_terms_memo_bounded_and_transparent():
     hits = _mass_terms.cache_info().hits
     for m_p, m_q, alpha in keys + keys[-300:]:  # the repeats are hits
         m_o = m_p + m_q
-        want = (branch_angles(m_p, m_q, m_o, alpha), m_o ** alpha, m_p ** alpha, m_q ** alpha)
+        t1, t2, t3 = branch_angles(m_p, m_q, m_o, alpha)
+        halves = ((math.cos(t1) / math.sin(t1)) / 2.0, (math.cos(t2) / math.sin(t2)) / 2.0)
+        want = ((t1, t2, t3), halves, m_o ** alpha, m_p ** alpha, m_q ** alpha)
         assert _mass_terms(m_p, m_q, alpha) == want
         assert _mass_terms.cache_info().currsize <= MASS_TERMS_CACHE
     assert _mass_terms.cache_info().hits - hits >= 300
     assert _mass_terms.cache_info().maxsize == MASS_TERMS_CACHE
     # a numpy split is a key of its own, so its terms stay numpy floats
-    assert type(_mass_terms(0.25, 0.75, 0.5)[1]) is float
-    assert type(_mass_terms(np.float64(0.25), np.float64(0.75), 0.5)[1]) is np.float64
+    assert type(_mass_terms(0.25, 0.75, 0.5)[2]) is float
+    assert type(_mass_terms(np.float64(0.25), np.float64(0.75), 0.5)[2]) is np.float64

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from branchflow import construct
-from branchflow.bifurcation import BifurcationInput, solve_two_targets
+from branchflow.bifurcation import BifurcationInput, branch_point, solve_two_targets
 from branchflow.construct import _greedy_pairs, _greedy_small, build_small, build_star, build_subdivision
 from branchflow.errors import DegenerateInputError, InputError
 from branchflow.instances import export_network
@@ -85,15 +85,15 @@ def _outcome(o, pool, alpha):
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_two_entry_plan_matches_general_greedy(monkeypatch, dim):
     """The two-entry shortcut of _greedy_small gives the general greedy's plan,
-    junction points and edge order alike, from one solve_two_targets call
-    looked up on the construct module."""
+    junction points and edge order alike, from one branch_point call looked
+    up on the construct module."""
     calls = []
 
-    def counted(inp):
-        calls.append(inp)
-        return solve_two_targets(inp)
+    def counted(*args):
+        calls.append(args)
+        return branch_point(*args)
 
-    monkeypatch.setattr(construct, "solve_two_targets", counted)
+    monkeypatch.setattr(construct, "branch_point", counted)
     seen = set()
     for o, pool, alpha in _two_entry_inputs(np.random.default_rng(50 + dim), dim):
         del calls[:]

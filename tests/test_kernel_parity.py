@@ -16,6 +16,10 @@ two roundings to agree on B*.
 The reference keeps the old inside-the-triangle projection; the kernel has
 none, and it still matches this reference within 1e-12 of the scale on all
 10,400 inputs.
+
+The solver calls the kernel `branch_point` on plain floats, with no checks;
+`solve_two_targets` is the checked public entry around it, and the two must
+agree bit for bit.  The checks themselves are tested in test_bifurcation.
 """
 import math
 
@@ -27,6 +31,7 @@ from branchflow.bifurcation import (
     BifurcationInput,
     BranchCase,
     branch_angles,
+    branch_point,
     objective_f,
     solve_two_targets,
 )
@@ -200,3 +205,51 @@ def test_result_types_are_floats():
     assert type(res.b_star) is tuple
     assert all(type(x) is float for x in res.b_star)
     assert type(res.cost) is float and type(res.v_cost) is float
+
+
+def _bits(case, b_star, cost, v_cost):
+    return case, tuple(map(float.hex, b_star)), cost.hex(), v_cost.hex()
+
+
+def _entries_agree(o, p, q, m_p, m_q, alpha):
+    """Both entries on one input: the same four fields bit for bit, or
+    DegenerateInputError from both.  Returns the case, or None."""
+    inp = BifurcationInput(o=o, p=p, q=q, m_p=m_p, m_q=m_q, alpha=alpha)
+    try:
+        core = branch_point(o, p, q, m_p, m_q, alpha)
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            solve_two_targets(inp)
+        return None
+    res = solve_two_targets(inp)
+    assert _bits(*core) == _bits(res.case, res.b_star, res.cost, res.v_cost), inp
+    return core[0]
+
+
+def _edge_inputs(seed=77):
+    """Per d = 2-5: generic triangles scaled by 2**-300, 1 and 2**300 (the
+    first and last solved rescaled), at alpha 1 and below, plus on-source
+    slivers a factor 2 above the coincidence threshold and coincident
+    targets."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for d in range(2, 6):
+        for _ in range(40):
+            o, p, q = rng.uniform(-1.0, 1.0, size=(3, d))
+            m_p, m_q = (float(m) for m in rng.uniform(0.05, 2.0, size=2))
+            u = rng.normal(size=d)
+            sliver = o + 2.0 * _COINCIDENT_REL * np.linalg.norm(q - o) * u / np.linalg.norm(u)
+            for k in (-300, 0, 300):
+                for alpha in (0.3, 0.75, 1.0):
+                    for pp, qq in ((p, q), (sliver, q), (p, p)):
+                        out.append((*(tuple(math.ldexp(x, k) for x in v.tolist())
+                                      for v in (o, pp, qq)), m_p, m_q, alpha))
+    return out
+
+
+def test_kernel_and_public_entry_agree_bit_for_bit():
+    cases = dict.fromkeys([*BranchCase, None], 0)
+    for args in _inputs() + _edge_inputs():
+        cases[_entries_agree(*args)] += 1
+    assert min(cases.values()) >= 100, cases
+

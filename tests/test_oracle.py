@@ -67,6 +67,8 @@ def test_grid_minimize_never_calls_the_closed_form(monkeypatch):
 
     monkeypatch.setattr("branchflow.bifurcation.solve_two_targets", forbidden)
     monkeypatch.setattr("branchflow.oracle.solve_two_targets", forbidden)
+    monkeypatch.setattr("branchflow.bifurcation.branch_point", forbidden)
+    monkeypatch.setattr("branchflow.oracle.branch_point", forbidden)
     inp = BifurcationInput(o=(0.0, 0.0), p=(2.0, 1.0), q=(2.0, -1.0),
                            m_p=0.5, m_q=0.5, alpha=0.5)
     b, val = grid_minimize_f(inp)
