@@ -7,6 +7,7 @@ JSON for diagnosis).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -146,8 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call, not at import, then reused: parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # output paths are checked before any work, so a bad one costs no
         # solve and leaves no partial output behind

@@ -6,9 +6,9 @@ through its optimal branch point instead of two direct edges from the source,
 merges the best pair into a pseudo-target at that branch point, and repeats
 until no pair saves anything.  Whatever remains connects straight to the
 source.  The pairing (_greedy_small) works on plain points and returns a
-plan of junction points and weighted edges; plan_cost scores a plan, and
-_wire is the one place a plan becomes vertices and edges of a network: here,
-in the local star rebuilds of optimize_local and in the exhaustive oracle.
+plan of junction points and weighted edges, priced as plan_cost prices it.
+TransportNetwork.wire puts a plan into a network: here, in the local star
+rebuilds of optimize_local (through replace_star) and in the oracle.
 Most plans are for a pool of two: in 36 solves at n = 30 (18 planar, 18
 3-d), 31,843 of the 33,683 star rebuilds, which made 22,414 of the 23,069
 accepted moves.  _greedy_small reads that plan straight off the pair's one
@@ -43,14 +43,14 @@ def _greedy_small(o: tuple, pool: list[tuple[tuple, float]], alpha: float):
     """Greedy bifurcation plan from source point o to the (point, mass) pool,
     all points tuples of floats.
 
-    Returns (junctions, edges).  Node 0 is o, nodes 1..len(pool) are the pool
-    entries in order, and the junction points follow in creation order;
-    edges are (parent, child, weight) node triples in the order the greedy
-    adds them.  _wire puts a plan into a network.
+    Returns (junctions, edges, cost).  Node 0 is o, nodes 1..len(pool) are
+    the pool entries in order, and the junction points follow in creation
+    order; edges are (parent, child, weight) node triples in the order the
+    greedy adds them.  cost is plan_cost of the plan, bit for bit.
 
     A pool of two is read straight off its one branch_point result, as
-    the plan _greedy_pairs would build from it; larger pools go through
-    _greedy_pairs."""
+    the plan _greedy_pairs would build from it, and priced by plan_cost's
+    sum in plan order; larger pools go through _greedy_pairs."""
     if len(pool) != 2:
         return _greedy_pairs(o, pool, alpha)
     (p, m_p), (q, m_q) = pool
@@ -58,13 +58,19 @@ def _greedy_small(o: tuple, pool: list[tuple[tuple, float]], alpha: float):
         case, b_star, cost, v_cost = branch_point(o, p, q, m_p, m_q, alpha)
     except DegenerateInputError:
         case = None
+    m = m_p + m_q
     if case is None or v_cost - cost <= 0.0:
-        return [], [(0, 1, m_p), (0, 2, m_q)]
+        return [], [(0, 1, m_p), (0, 2, m_q)], (
+            m_p ** alpha * math.dist(o, p) + m_q ** alpha * math.dist(o, q))
     if case is BranchCase.COLLAPSE_TO_P:
-        return [], [(1, 2, m_q), (0, 1, m_p + m_q)]
+        return [], [(1, 2, m_q), (0, 1, m)], (
+            m_q ** alpha * math.dist(p, q) + m ** alpha * math.dist(o, p))
     if case is BranchCase.COLLAPSE_TO_Q:
-        return [], [(2, 1, m_p), (0, 2, m_p + m_q)]
-    return [b_star], [(3, 1, m_p), (3, 2, m_q), (0, 3, m_p + m_q)]
+        return [], [(2, 1, m_p), (0, 2, m)], (
+            m_p ** alpha * math.dist(q, p) + m ** alpha * math.dist(o, q))
+    return [b_star], [(3, 1, m_p), (3, 2, m_q), (0, 3, m)], (
+        m_p ** alpha * math.dist(b_star, p) + m_q ** alpha * math.dist(b_star, q)
+        + m ** alpha * math.dist(o, b_star))
 
 
 def _greedy_pairs(o: tuple, pool: list[tuple[tuple, float]], alpha: float):
@@ -123,7 +129,7 @@ def _greedy_pairs(o: tuple, pool: list[tuple[tuple, float]], alpha: float):
         alive.append(k)
 
     edges.extend((0, entries[i][0], entries[i][2]) for i in alive)
-    return junctions, edges
+    return junctions, edges, plan_cost([o] + [pt for pt, _ in pool] + junctions, edges, alpha)
 
 
 def plan_cost(points, edges, alpha: float) -> float:
@@ -135,15 +141,6 @@ def plan_cost(points, edges, alpha: float) -> float:
     return total
 
 
-def _wire(net: TransportNetwork, ids: list[int], junctions, edges) -> None:
-    """Put a _greedy_small plan into net: ids maps nodes 0..len(pool) to
-    vertex ids; junction vertices are created in plan order, then the edges
-    are added in plan order."""
-    ids = ids + [net.add_vertex(pt) for pt in junctions]
-    for p, c, w in edges:
-        net.add_edge(ids[p], ids[c], w)
-
-
 def build_small(source_point, source_mass: float, targets: AtomicMeasure,
                 alpha: float) -> TransportNetwork:
     """Greedy bifurcation network from one source to a small target set."""
@@ -151,7 +148,7 @@ def build_small(source_point, source_mass: float, targets: AtomicMeasure,
     net = TransportNetwork(source_point, source_mass)
     ids = [net.root] + [net.add_vertex(pt, terminal=True) for pt in targets.points]
     pool = [(net.point(vid), m) for vid, (_, m) in zip(ids[1:], targets.atoms())]
-    _wire(net, ids, *_greedy_small(net.point(net.root), pool, alpha))
+    net.wire(ids, *_greedy_small(net.point(net.root), pool, alpha)[:2])
     net.canonicalize()
     return net
 
@@ -207,8 +204,8 @@ def build_subdivision(source_point, source_mass: float, targets: AtomicMeasure,
         o = net.point(src_vid)
         if len(atom_idx) <= capacity:
             pool = [(leaf_points[i], targets.masses[i]) for i in atom_idx]
-            _wire(net, [src_vid] + [leaf_ids[i] for i in atom_idx],
-                  *_greedy_small(o, pool, alpha))
+            net.wire([src_vid] + [leaf_ids[i] for i in atom_idx],
+                     *_greedy_small(o, pool, alpha)[:2])
             return
         if depth >= MAX_DEPTH:  # refuse to recurse further, star the cell out
             for i in atom_idx:
@@ -218,7 +215,7 @@ def build_subdivision(source_point, source_mass: float, targets: AtomicMeasure,
         centers = [net.add_vertex([(a + b) / 2.0 for a, b in zip(*sub)]) for sub, _ in groups]
         pool = [(net.point(cvid), sum(targets.masses[i] for i in members))
                 for cvid, (_, members) in zip(centers, groups)]
-        _wire(net, [src_vid] + centers, *_greedy_small(o, pool, alpha))
+        net.wire([src_vid] + centers, *_greedy_small(o, pool, alpha)[:2])
         for (sub, members), cvid in zip(groups, centers):
             recurse(cvid, members, sub, depth + 1)
 

@@ -10,7 +10,10 @@ canonicalize takes a single tree and finds its coincident vertex pairs once
 per call, by a sweep in order of the first coordinate, then merges them along
 the tree's parent links.  Lengths are math.dist on the stored float tuples
 and the bounding-box diameter is math.hypot of the spans; both scale
-internally, so no length here overflows or underflows.
+internally, so no length here overflows or underflows.  A local star
+rebuild reads the star once (star) and splices its plan in once
+(replace_star); wire is the one place a plan (construct._greedy_small's
+format) becomes vertices and edges, for the builders and the oracle too.
 
 The transport cost with concavity exponent alpha in (0, 1] is
 cost = sum over edges of weight**alpha * length.
@@ -57,7 +60,8 @@ class TransportNetwork:
 
     Every vertex carries a star stamp drawn from a monotone edit clock.
     add_edge, remove_edge and set_weight restamp both ends of the edge, since
-    the edge lies in the star of each; restore_from restamps every vertex.
+    the edge lies in the star of each, and replace_star restamps as the edits
+    it stands for would; restore_from restamps every vertex.
     So while star_stamp(u) is unchanged, so are u's parent, inflow, children
     and their inflows, and (an id naming one point) the whole star.
     """
@@ -83,7 +87,8 @@ class TransportNetwork:
         self._children[vid] = []
         self._clock += 1
         self._stamp[vid] = self._clock
-        self._next_id = max(self._next_id, vid + 1)
+        if vid >= self._next_id:
+            self._next_id = vid + 1
         return vid
 
     def add_vertex(self, point, terminal: bool = False,
@@ -124,6 +129,38 @@ class TransportNetwork:
         self._clock = clock = self._clock + 1
         self._stamp[parent] = self._stamp[child] = clock
 
+    def wire(self, ids: list[int], junctions, edges) -> None:
+        """Put a plan into the network: ids maps nodes 0..len(pool) to
+        vertex ids; junction vertices are created in plan order, then the
+        edges are added in plan order (see construct._greedy_small)."""
+        ids = ids + [self.add_vertex(pt) for pt in junctions]
+        for p, c, w in edges:
+            self.add_edge(ids[p], ids[c], w)
+
+    def replace_star(self, u: int, ids: list[int], junctions, edges) -> None:
+        """Tear out u's parent and child edges, and u unless it is a
+        terminal, in one pass that leaves the dicts, clock and stamps as
+        remove_edge(u), remove_edge of each child in child order and
+        remove_vertex(u) would; then wire the plan (ids, junctions, edges)."""
+        parent, weight, children, stamp = self._parent, self._weight, self._children, self._stamp
+        above = parent.pop(u)
+        del weight[u]
+        children[above].remove(u)
+        clock = self._clock + 1
+        stamp[above] = clock
+        kids = children[u]
+        for child in kids:
+            del parent[child], weight[child]
+            clock += 1
+            stamp[child] = clock
+        self._clock = clock
+        if u in self._terminal:
+            kids.clear()
+            stamp[u] = clock
+        else:
+            del self._points[u], children[u], stamp[u]
+        self.wire(ids, junctions, edges)
+
     def set_weight(self, child: int, weight: float) -> None:
         parent = self._parent.get(child)
         if parent is None:
@@ -161,6 +198,36 @@ class TransportNetwork:
 
     def is_terminal(self, vid: int) -> bool:
         return vid in self._terminal
+
+    def star(self, u: int, alpha: float):
+        """One pass over u's star: (parent, vids, pool, cost), or None for a
+        star not to rebuild (the root, no parent or no children, a
+        flow-through target consuming nothing, a helper leaking flow).
+        pool holds the (point, mass) entries a rebuilt star must reach, in
+        vids order: the children, then u when it consumes mass as a target.
+        cost sums the edges touching u, the parent edge first, then the
+        child edges in child order."""
+        parent = self._parent.get(u)
+        if parent is None or not self._children[u]:
+            return None
+        points, weight = self._points, self._weight
+        m_u, p_u = weight[u], points[u]
+        cost = m_u ** alpha * math.dist(points[parent], p_u)
+        vids = self._children[u][:]
+        pool = []
+        for child in vids:
+            pt, m = points[child], weight[child]
+            cost += m ** alpha * math.dist(p_u, pt)
+            pool.append((pt, m))
+        consumed = m_u - sum(m for _, m in pool)
+        if u in self._terminal:
+            if consumed <= 0.0:
+                return None  # corrupt flow-through target; leave it alone
+            vids.append(u)
+            pool.append((p_u, consumed))
+        elif abs(consumed) > mass_tolerance(self.source_mass):
+            return None  # helper vertex leaking flow: refuse to touch it
+        return parent, vids, pool, cost
 
     def star_stamp(self, vid: int) -> int:
         """The clock reading at the last edit of vid's star (or at vid's

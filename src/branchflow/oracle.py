@@ -12,8 +12,8 @@ enumerate_optimal solves tiny instances (up to four targets) exactly up to
 junction-placement tolerance: it enumerates every full binary branching
 topology over the targets as a plan in construct._greedy_small's format,
 places its junctions, and scores it with construct.plan_cost;
-construct._wire wires the cheapest.  Only the plan format, the cost sum and
-the wiring are shared with the solver.  Degenerate optima (junctions
+TransportNetwork.wire wires the cheapest.  Only the plan format, the cost
+sum and the wiring are shared with the solver.  Degenerate optima (junctions
 collapsing onto the source, a target, or each other) appear as zero-length
 edges and are cleaned away when the winning network is canonicalized.
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from .bifurcation import BifurcationInput, branch_point
 from .bifurcation import solve_two_targets  # noqa: F401 (perfbench's tracer wraps this name here)
-from .construct import _wire, plan_cost
+from .construct import plan_cost
 from .errors import DegenerateInputError, InputError
 from .measures import AtomicMeasure, check_source_targets, single_atom
 from .network import TransportNetwork
@@ -420,6 +420,6 @@ def enumerate_optimal(source: AtomicMeasure, targets: AtomicMeasure, alpha: floa
 
     net = TransportNetwork(src, m_total)
     ids = [net.root] + [net.add_vertex(pt, terminal=True) for pt in points]
-    _wire(net, ids, *best_plan)
+    net.wire(ids, *best_plan)
     net.canonicalize()
     return net, net.cost_m_alpha(alpha)

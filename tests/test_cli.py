@@ -141,6 +141,31 @@ def test_init_matches_each_builder(capsys, spot_file):
         assert out.encode() == export_network(net, inst.alpha), name
 
 
+def test_parser_reused_across_calls(capsys, monkeypatch, spot_file):
+    """main parses every call with one parser; no flag of one call leaks
+    into the next, and a refused call leaves it usable."""
+    seen = []
+    real = optimize_global.global_optimize
+
+    def recording(source, targets, alpha, initializer):
+        seen.append((alpha, initializer))
+        return real(source, targets, alpha, initializer)
+
+    monkeypatch.setattr(cli, "global_optimize", recording)
+    code, _, _ = run_cli(capsys, "solve", "--input", spot_file, "--alpha", "0.6",
+                         "--initializer", "star")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "solve", "--input", spot_file)
+    assert code == 0 and json.loads(out)["alpha"] == 0.5
+    assert seen == [(0.6, "star"), (0.5, "subdivision")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--input", spot_file, "--no-such-flag"])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(capsys, "solve", "--input", spot_file)
+    assert code == 0 and json.loads(out)["cost"] == pytest.approx(3.0, abs=1e-9)
+    assert seen[-1] == (0.5, "subdivision")
+
+
 def test_public_names_resolve():
     for name in branchflow.__all__:
         assert getattr(branchflow, name) is not None, name

@@ -6,7 +6,8 @@ import pytest
 
 from branchflow import construct
 from branchflow.bifurcation import BifurcationInput, branch_point, solve_two_targets
-from branchflow.construct import _greedy_pairs, _greedy_small, build_small, build_star, build_subdivision
+from branchflow.construct import (_greedy_pairs, _greedy_small, build_small, build_star,
+                                  build_subdivision, plan_cost)
 from branchflow.errors import DegenerateInputError, InputError
 from branchflow.instances import export_network
 from branchflow.measures import AtomicMeasure
@@ -85,8 +86,8 @@ def _outcome(o, pool, alpha):
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_two_entry_plan_matches_general_greedy(monkeypatch, dim):
     """The two-entry shortcut of _greedy_small gives the general greedy's plan,
-    junction points and edge order alike, from one branch_point call looked
-    up on the construct module."""
+    junction points, edge order and cost alike, from one branch_point call
+    looked up on the construct module."""
     calls = []
 
     def counted(*args):
@@ -104,6 +105,36 @@ def test_two_entry_plan_matches_general_greedy(monkeypatch, dim):
     assert {case for case, _ in seen} == {"coincident", "no gain", "CollapseToP",
                                           "CollapseToQ", "InteriorY"}
     assert ("no gain", True) in seen
+
+
+def _price_and_plan_cost(o, pool, alpha):
+    junctions, edges, cost = _greedy_small(o, pool, alpha)
+    return cost, plan_cost([o] + [pt for pt, _ in pool] + junctions, edges, alpha)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_priced_plan_equals_plan_cost(dim):
+    """The cost _greedy_small returns is plan_cost of its plan bit for bit:
+    pools of two in every outcome, at unit scale and scaled by 2**300 and
+    2**-300 (the kernel's rescale path), and pools of one to nine."""
+    rng = np.random.default_rng(70 + dim)
+    every = {"coincident", "no gain", "CollapseToP", "CollapseToQ", "InteriorY"}
+    for scale in (1.0, 2.0 ** 300, 2.0 ** -300):
+        seen = set()
+        for o, pool, alpha in _two_entry_inputs(rng, dim):
+            o = tuple(x * scale for x in o)
+            pool = [(tuple(x * scale for x in pt), m) for pt, m in pool]
+            cost, want = _price_and_plan_cost(o, pool, alpha)
+            assert cost.hex() == want.hex()
+            seen.add(_outcome(o, pool, alpha))
+        assert seen == every, scale
+    for k in range(1, 10):
+        for _ in range(8):
+            o = tuple(rng.uniform(-1.0, 1.0, size=dim).tolist())
+            pool = [(tuple(rng.uniform(-1.0, 1.0, size=dim).tolist()), float(m))
+                    for m in rng.uniform(0.1, 1.0, size=k)]
+            cost, want = _price_and_plan_cost(o, pool, float(rng.uniform(0.05, 1.0)))
+            assert cost.hex() == want.hex()
 
 
 def test_build_small_beats_or_ties_star():

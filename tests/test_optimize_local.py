@@ -6,12 +6,12 @@ import pytest
 
 from branchflow import optimize_local
 from branchflow.config import cost_tolerance, stalled
-from branchflow.construct import _greedy_small, _wire, build_subdivision
+from branchflow.construct import _greedy_small, build_subdivision
 from branchflow.instances import export_network
 from branchflow.measures import AtomicMeasure
 from branchflow.network import TransportNetwork
 from branchflow.optimize_global import rewire
-from branchflow.optimize_local import _star_scan, improve_vertex, local_sweep
+from branchflow.optimize_local import improve_vertex, local_sweep
 
 
 def displaced_junction_net(j_point=(1.7, 0.8)):
@@ -27,7 +27,7 @@ def displaced_junction_net(j_point=(1.7, 0.8)):
 
 
 def star_cost(net, u, alpha):
-    """Reference for the cost _star_scan returns: the edges touching u, the
+    """Reference for the cost net.star returns: the edges touching u, the
     parent edge first, summed by a separate walk over the star."""
     total = net.edge_mass(u) ** alpha * net.edge_length(u)
     for child in net.children(u):
@@ -38,7 +38,7 @@ def star_cost(net, u, alpha):
 def test_star_cost_hand_value():
     net, j = displaced_junction_net(j_point=(1.0, 0.0))
     want = 1.0 + math.sqrt(0.5) * math.sqrt(2.0) * 2.0
-    assert _star_scan(net, j, 0.5)[2] == pytest.approx(want, abs=1e-12)
+    assert net.star(j, 0.5)[3] == pytest.approx(want, abs=1e-12)
 
 
 def test_improve_vertex_skips_root_and_leaves():
@@ -52,7 +52,8 @@ def test_improve_vertex_skips_root_and_leaves():
 
 def test_star_pool_helper():
     net, j = displaced_junction_net(j_point=(1.0, 0.0))
-    vids, pool, _ = _star_scan(net, j, 0.5)
+    parent, vids, pool, _ = net.star(j, 0.5)
+    assert parent == net.parent(j)
     assert vids == net.children(j)
     for vid, (pt, m) in zip(vids, pool, strict=True):
         assert np.array_equal(pt, net.point(vid))
@@ -66,7 +67,8 @@ def test_star_pool_flow_through_target():
     leaf = net.add_vertex((2.0, 0.0), terminal=True)
     net.add_edge(net.root, t, 1.0)
     net.add_edge(t, leaf, 0.6)
-    vids, pool, cost = _star_scan(net, t, 0.5)
+    parent, vids, pool, cost = net.star(t, 0.5)
+    assert parent == net.root
     # the pool carries the downstream leaf plus the 0.4 consumed at t
     assert vids == [leaf, t]
     assert [m for _, m in pool] == pytest.approx([0.6, 0.4])
@@ -77,7 +79,7 @@ def test_star_pool_flow_through_target():
 def test_star_pool_refuses_leaky_helper():
     net, j = displaced_junction_net()
     net.set_weight(net.children(j)[0], 0.25)  # helper now leaks 0.25
-    assert _star_scan(net, j, 0.5) is None
+    assert net.star(j, 0.5) is None
     before = export_network(net, 0.5)
     assert not improve_vertex(net, j, 0.5, 0.0)
     assert export_network(net, 0.5) == before
@@ -153,14 +155,14 @@ def test_local_sweep_counts_sweeps():
 
 
 def _plan_network(net, u, alpha):
-    """The greedy plan for u's star, wired by _wire into a scratch network
-    rooted at a copy of parent(u)."""
-    _, pool, _ = _star_scan(net, u, alpha)
-    o = net.point(net.parent(u))
-    junctions, edges = _greedy_small(o, pool, alpha)
+    """The greedy plan for u's star, wired by TransportNetwork.wire into a
+    scratch network rooted at a copy of parent(u)."""
+    parent, _, pool, _ = net.star(u, alpha)
+    o = net.point(parent)
+    junctions, edges, _ = _greedy_small(o, pool, alpha)
     scratch = TransportNetwork(o, net.edge_mass(u))
     ids = [scratch.root] + [scratch.add_vertex(pt, terminal=True) for pt, _ in pool]
-    _wire(scratch, ids, junctions, edges)
+    scratch.wire(ids, junctions, edges)
     return scratch
 
 
@@ -180,7 +182,7 @@ def test_splice_matches_wired_plan(dim, alpha):
                 continue
             before = export_network(net, alpha)
             scored = None
-            if u != net.root and net.children(u) and _star_scan(net, u, alpha) is not None:
+            if u != net.root and net.children(u) and net.star(u, alpha) is not None:
                 scored = star_cost(net, u, alpha) - _plan_network(net, u, alpha).cost_m_alpha(alpha)
             cost_before = net.cost_m_alpha(alpha)
             ok = improve_vertex(net, u, alpha, eps)
@@ -198,9 +200,9 @@ def test_splice_matches_wired_plan(dim, alpha):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_plan_score_equals_wired_cost_bitwise(dim):
-    """improve_vertex scores the plan on plain points; the score must round
-    exactly like cost_m_alpha of the same plan wired into a network, so the
-    accept threshold sits on that exact value."""
+    """improve_vertex takes the plan's price from _greedy_small; it must
+    round exactly like cost_m_alpha of the same plan wired into a network,
+    so the accept threshold sits on that exact value."""
     rng = np.random.default_rng(40 + dim)
     for _ in range(60):
         alpha = float(rng.uniform(0.05, 1.0))
@@ -213,10 +215,60 @@ def test_plan_score_equals_wired_cost_bitwise(dim):
         for mass in masses:
             child = net.add_vertex(rng.uniform(-1.0, 1.0, size=dim), terminal=True)
             net.add_edge(u, child, float(mass))
-        assert _star_scan(net, u, alpha)[2] == star_cost(net, u, alpha)
+        assert net.star(u, alpha)[3] == star_cost(net, u, alpha)
         threshold = star_cost(net, u, alpha) - _plan_network(net, u, alpha).cost_m_alpha(alpha)
         assert not improve_vertex(net.copy(), u, alpha, threshold)
         assert improve_vertex(net.copy(), u, alpha, float(np.nextafter(threshold, -np.inf)))
+
+
+def _edit_sequence_splice(net, u, ids, junctions, edges):
+    """The edits replace_star stands for: remove_edge on u and then on each
+    child, remove_vertex on a helper u, then wire."""
+    net.remove_edge(u)
+    for child in net.children(u):
+        net.remove_edge(child)
+    if not net.is_terminal(u):
+        net.remove_vertex(u)
+    net.wire(ids, junctions, edges)
+
+
+def _stamps_and_children(net):
+    return {v: (net.star_stamp(v), net.children(v)) for v in net.vertices()}
+
+
+@pytest.mark.parametrize("dim, alpha", [(2, 0.5), (2, 0.75), (3, 0.5), (3, 0.75)])
+def test_replace_star_matches_edit_sequence(dim, alpha):
+    """replace_star leaves the network as its edit sequence does: the same
+    export bytes, cost bits, _parent order (the order cost_m_alpha sums
+    in), children lists, clock and stamps, for helper and flow-through terminal stars, and
+    after the teardown alone (an empty plan, which restamps nothing)."""
+    kinds = set()
+    for seed in range(3):
+        net, _ = _random_subdivision(dim, alpha, 60 + 10 * dim + seed)
+        # hang every other leaf below another leaf: those targets pass flow on
+        leaves = [v for v in net.terminals() if not net.children(v)]
+        for leaf, host in zip(leaves[::2], leaves[1::2]):
+            rewire(net, leaf, host)
+        for u in net.bfs_order():
+            star = net.star(u, alpha)
+            if star is None:
+                continue
+            parent, vids, pool, _ = star
+            plan = _greedy_small(net.point(parent), pool, alpha)[:2]
+            for junctions, edges in (plan, ([], [])):
+                spliced, edited = net.copy(), net.copy()
+                spliced.replace_star(u, [parent] + vids, junctions, edges)
+                _edit_sequence_splice(edited, u, [parent] + vids, junctions, edges)
+                assert export_network(spliced, alpha) == export_network(edited, alpha)
+                assert spliced.cost_m_alpha(alpha).hex() == edited.cost_m_alpha(alpha).hex()
+                assert list(spliced._parent) == list(edited._parent)
+                assert list(spliced._weight) == list(edited._weight)
+                assert spliced._clock == edited._clock
+                assert _stamps_and_children(spliced) == _stamps_and_children(edited)
+                if edges:
+                    assert spliced.validate_structure() == []
+            kinds.add(net.is_terminal(u))
+    assert kinds == {False, True}
 
 
 def _random_subdivision(dim, alpha, seed, n=25):
