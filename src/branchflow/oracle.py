@@ -17,6 +17,17 @@ sum and the wiring are shared with the solver.  Degenerate optima (junctions
 collapsing onto the source, a target, or each other) appear as zero-length
 edges and are cleaned away when the winning network is canonicalized.
 
+Most topologies lose by far, so enumerate_optimal prunes them.  It visits
+the plans in ascending order of their cost with every junction at its
+starting midpoint, the enumeration index breaking ties, and keeps the plan
+with the lowest (cost, enumeration index), the winner a scan in
+enumeration order that keeps the first strictly cheaper plan also picks.
+After each smoothing stage the placement takes a floor under the plan's
+cost from the convexity of the smoothed objective (_stage_floor) and drops
+the plan once that floor exceeds the best cost so far by a relative 1e-9.
+Such a plan cannot win, and every plan that can is placed with unchanged
+arithmetic, so the winner and the output do not depend on the pruning.
+
 Junction placement takes a plan (points, edges, first, alpha) and runs on
 plain floats.  _joint_smooth_min moves all junctions at once on the cost
 with each edge length |v| smoothed to sqrt(|v|^2 + delta^2), delta shrinking
@@ -306,8 +317,9 @@ def _newton_stage(terms, pts: list, delta: float, d: int):
     """Damped Newton solve of one smoothing stage from pts: exact Hessian,
     Armijo backtracking with a quadratic fit, stopped when the squared
     Newton decrement falls to NEWTON_TOL of the value or a step stops
-    lowering it.  Returns the junction rows, the Cholesky factor of the
-    last Hessian and the last gradient's delta derivative."""
+    lowering it.  Returns the junction rows, the smoothed value and
+    gradient there, the Cholesky factor of the last Hessian and the last
+    gradient's delta derivative."""
     for _ in range(MAX_NEWTON_STEPS):
         value, grad, hess, drift = _smoothed_system(terms, pts, delta, d)
         low = _factor(hess)
@@ -327,12 +339,37 @@ def _newton_stage(terms, pts: list, delta: float, d: int):
         if not f_trial < value:
             break  # no descent left at this rounding level
         pts = trial
-    return pts, low, drift
+    else:
+        # the step cap ended the stage one move after the last system
+        value, grad = _smoothed_system(terms, pts, delta, d)[:2]
+    return pts, value, grad, low, drift
 
 
-def _joint_smooth_min(points: list, edges, first: int, alpha: float) -> None:
+def _stage_floor(fixed: list, terms, pts: list, value: float, grad: list,
+                 delta: float, k: int) -> float:
+    """Lower bound on a plan's unsmoothed minimum from the smoothed value
+    and gradient, value and grad, at any junction rows pts of a stage with
+    smoothing delta, in a plan scaled by 2**-k; the stages take it where
+    they end.
+
+    The smoothed objective is convex and at most the cost plus
+    delta * sum w**alpha.  Some minimizer keeps every junction in the convex
+    hull of the fixed points, since projecting onto the hull shortens every
+    edge, and there junction j is at most max_a |pts[j] - a| from pts[j].
+    So the cost anywhere the minimizer can be is at least
+    value - |grad| * R - delta * sum w**alpha, with R**2 the sum of those
+    squared distances; the result is in the plan's own units."""
+    radius = math.sqrt(sum(max(math.dist(row, a) ** 2 for a in fixed) for row in pts))
+    slack = delta * math.fsum(coef for *_, coef in terms)
+    return math.ldexp(value - math.hypot(*grad) * radius - slack, k)
+
+
+def _joint_smooth_min(points: list, edges, first: int, alpha: float,
+                      above: float = math.inf) -> bool:
     """Jointly minimize the junction positions points[first:] of a plan on a
-    smoothed objective, in place.
+    smoothed objective, in place; True when placed.  False, with points
+    left as they were, as soon as a stage's _stage_floor shows that the
+    plan's cost cannot come within a relative 1e-9 of above.
 
     For a fixed topology the cost is convex in the junction coordinates but
     not smooth, and per-junction block descent can stall where junctions
@@ -347,7 +384,7 @@ def _joint_smooth_min(points: list, edges, first: int, alpha: float) -> None:
     """
     free = len(points) - first
     if not free:
-        return
+        return True
     d = len(points[0])
     scale = _scale(points, first)
     k = math.frexp(scale)[1]
@@ -356,7 +393,9 @@ def _joint_smooth_min(points: list, edges, first: int, alpha: float) -> None:
     terms = _edge_terms(fixed, edges, first, alpha)
     deltas = [f * math.ldexp(scale, -k) for f in SMOOTHING]
     for stage, delta in enumerate(deltas):
-        pts, low, drift = _newton_stage(terms, pts, delta, d)
+        pts, value, grad, low, drift = _newton_stage(terms, pts, delta, d)
+        if _stage_floor(fixed, terms, pts, value, grad, delta, k) > above * (1.0 + 1e-9):
+            return False
         if stage + 1 < len(deltas):
             # the minimizer moves by -H^-1 (d grad / d delta) per unit delta
             after = deltas[stage + 1]
@@ -364,6 +403,7 @@ def _joint_smooth_min(points: list, edges, first: int, alpha: float) -> None:
             if _smoothed_value(terms, guess, after) < _smoothed_value(terms, pts, after):
                 pts = guess
     points[first:] = [tuple(math.ldexp(x, k) for x in row) for row in pts]
+    return True
 
 
 def _descend(points: list, edges, first: int, alpha: float) -> bool:
@@ -394,7 +434,11 @@ def enumerate_optimal(source: AtomicMeasure, targets: AtomicMeasure, alpha: floa
     """Exhaustive optimum over branching topologies for up to four targets.
 
     Returns (network, cost).  The network is canonical: junctions that
-    collapsed onto other vertices during descent are merged away.  Raises
+    collapsed onto other vertices during descent are merged away.  The
+    plans are placed cheapest start first, and a plan whose stage floor
+    shows it cannot beat the best cost so far is dropped unplaced and
+    unpolished; of the placed plans the lowest (cost, enumeration index)
+    wins, as in a plain scan of every topology in enumeration order.  Raises
     InputError for a source that is not one atom, more than four targets,
     or an instance that check_source_targets refuses.
     """
@@ -405,17 +449,23 @@ def enumerate_optimal(source: AtomicMeasure, targets: AtomicMeasure, alpha: floa
     points = targets.points
     first = targets.n + 1
 
-    best_cost = math.inf
-    best_plan = None
-    for shape in topologies(targets.n):
+    plans = []
+    for index, shape in enumerate(topologies(targets.n)):
         junctions, edges = _plan(shape, points, targets.masses)
         pts = [src, *points, *junctions]
-        _joint_smooth_min(pts, edges, first, alpha)
+        plans.append((plan_cost(pts, edges, alpha), index, shape, pts, edges))
+    plans.sort(key=lambda plan: plan[:2])
+
+    best = (math.inf, -1)  # (cost, enumeration index) of the incumbent
+    best_plan = None
+    for _, index, shape, pts, edges in plans:
+        if not _joint_smooth_min(pts, edges, first, alpha, best[0]):
+            continue
         if not _descend(pts, edges, first, alpha):
             logger.warning("junction descent hit the pass cap for shape %r", shape)
         cost = plan_cost(pts, edges, alpha)
-        if cost < best_cost:
-            best_cost = cost
+        if (cost, index) < best:
+            best = (cost, index)
             best_plan = (pts[first:], edges)
 
     net = TransportNetwork(src, m_total)

@@ -10,8 +10,11 @@ from scipy.optimize import minimize
 
 from branchflow import oracle
 from branchflow.bifurcation import BifurcationInput, objective_f, solve_two_targets
+from branchflow.construct import plan_cost
 from branchflow.errors import InputError
+from branchflow.instances import export_network
 from branchflow.measures import AtomicMeasure
+from branchflow.network import TransportNetwork
 from branchflow.oracle import _plan, enumerate_optimal, grid_minimize_f, topologies
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -216,13 +219,15 @@ def test_enumerate_optimal_input_limits():
         enumerate_optimal(two_src, tg, 0.5)
 
 
-def _lbfgs_smooth_min(points: list, edges, first: int, alpha: float) -> None:
+def _lbfgs_smooth_min(points: list, edges, first: int, alpha: float,
+                      above: float = math.inf) -> bool:
     """The junction placement the oracle used before its Newton kernel:
     scipy's L-BFGS-B on the same smoothed objective and delta schedule,
-    with the scale floored at 1e-9.  Kept as a reference."""
+    with the scale floored at 1e-9.  Kept as a reference; it ignores above
+    and places every plan."""
     free = len(points) - first
     if not free:
-        return
+        return True
     terms = [(p - first, points[p], c - first, points[c], w ** alpha)
              for p, c, w in edges]
     scale = max(float(np.ptp(np.vstack(points[:first]), axis=0).max()), 1e-9)
@@ -249,6 +254,7 @@ def _lbfgs_smooth_min(points: list, edges, first: int, alpha: float) -> None:
                        options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12})
         x = res.x
     points[first:] = x.reshape(free, -1)
+    return True
 
 
 def _random_instance(rng, k: int, d: int, scale: float = 1.0):
@@ -312,6 +318,123 @@ def test_newton_placement_is_no_worse_than_lbfgs(monkeypatch):
                     m.setattr(oracle, "_joint_smooth_min", _lbfgs_smooth_min)
                     _, ref = enumerate_optimal(src, tg, alpha)
                 assert got <= ref * (1.0 + 1e-12), (k, d, scale, got, ref)
+
+
+def test_stage_floor_never_exceeds_the_placed_cost(monkeypatch):
+    # every stage's floor bounds the plan's cost after placement and the
+    # polish, on every topology, whatever the instance's scale; so does
+    # the floor taken where a stage starts, far from its minimizer
+    rng = np.random.default_rng(33)
+    newton_stage = oracle._newton_stage
+    for k in (3, 4):
+        for d in (2, 3, 4):
+            for scale in (1e-8, 1.0, 1e8):
+                src, tg = _random_instance(rng, k, d, scale)
+                alpha = float(rng.uniform(0.3, 1.0))
+                first = k + 1
+                for shape in topologies(k):
+                    junctions, edges = _plan(shape, tg.points, tg.masses)
+                    points = [src.points[0], *tg.points, *junctions]
+                    stages = []
+
+                    def recording(terms, pts, delta, d):
+                        out = newton_stage(terms, pts, delta, d)
+                        start = oracle._smoothed_system(terms, pts, delta, d)
+                        stages.append((terms, delta, pts, start[:2], out))
+                        return out
+
+                    monkeypatch.setattr(oracle, "_newton_stage", recording)
+                    assert oracle._joint_smooth_min(points, edges, first, alpha)
+                    oracle._descend(points, edges, first, alpha)
+                    cost = plan_cost(points, edges, alpha)
+                    e = math.frexp(oracle._scale(points, first))[1]
+                    fixed = [tuple(math.ldexp(x, -e) for x in pt) for pt in points[:first]]
+                    assert len(stages) == len(oracle.SMOOTHING)
+                    floors = []
+                    for terms, delta, start, (f0, g0), (end, f1, g1, _, _) in stages:
+                        floors += [oracle._stage_floor(fixed, terms, start, f0, g0, delta, e),
+                                   oracle._stage_floor(fixed, terms, end, f1, g1, delta, e)]
+                    for floor in floors:
+                        assert floor <= cost, (k, d, scale, shape, floors, cost)
+                    # and the last stage ends close enough to cut losing plans
+                    assert floors[-1] >= 0.99 * cost, (k, d, scale, shape, floors, cost)
+
+
+def _collinear_instance(rng, k: int, d: int):
+    """Source and targets on one coordinate axis at distinct integer
+    offsets, with masses in eighths: every cost is exact, so at alpha = 1
+    topologies tie to the last bit."""
+    axis = int(rng.integers(d))
+    base = rng.integers(-3, 4, size=d).astype(float)
+    offsets = rng.choice([t for t in range(-4, 5) if t], size=k, replace=False)
+    pts = [base + float(t) * np.eye(d)[axis] for t in offsets]
+    cuts = np.sort(rng.choice(np.arange(1, 8), size=k - 1, replace=False))
+    ms = np.diff(np.concatenate([[0], cuts, [8]])) / 8.0
+    return AtomicMeasure([base], [1.0]), AtomicMeasure(pts, ms)
+
+
+def _mirrored_instance(rng, d: int):
+    """Three targets, the first on the source's axis and the other two
+    mirror images across it: the two topologies that pair the first target
+    with one of the others place their junctions in mirrored arithmetic, so
+    they tie to the last bit in different networks."""
+    axis = [float(rng.uniform(0.2, 2.0))] + [0.0] * (d - 1)
+    off = rng.uniform(0.2, 3.0, size=d).tolist()
+    pts = [axis, off, off[:-1] + [-off[-1]]]
+    m = float(rng.uniform(0.1, 0.8))
+    return (AtomicMeasure([[0.0] * d], [1.0]),
+            AtomicMeasure(pts, [m, (1.0 - m) / 2.0, (1.0 - m) / 2.0]))
+
+
+def test_pruning_leaves_the_oracle_output_unchanged(monkeypatch):
+    # the floor only skips plans that cannot win, and an exact tie goes to
+    # the first topology in enumeration order, as when every plan is placed
+    place = oracle._joint_smooth_min
+
+    def unpruned(points, edges, first, alpha, above=math.inf):
+        return place(points, edges, first, alpha)
+
+    rng = np.random.default_rng(34)
+    cases = []
+    for i in range(120):
+        k = (2, 3, 4, 4)[i % 4]
+        d = (2, 3)[i % 5 == 0]
+        alpha = 1.0 if i % 6 == 0 else float(rng.uniform(0.3, 1.0))
+        if i % 3 == 0:
+            src, tg = _collinear_instance(rng, k, d)
+        elif i % 3 == 1:
+            src, tg = _mirrored_instance(rng, d)
+        else:
+            src, tg = _random_instance(rng, k, d, float(rng.choice([1e-8, 1.0, 1e8])))
+        cases.append((src, tg, alpha))
+    for src, tg, alpha in cases:
+        got = export_network(enumerate_optimal(src, tg, alpha)[0], alpha)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_joint_smooth_min", unpruned)
+            want = export_network(enumerate_optimal(src, tg, alpha)[0], alpha)
+        assert got == want, (tg.points, alpha)
+
+
+def test_an_exact_tie_goes_to_the_first_topology():
+    # mirror images: shapes 1 and 2 pair the axis target with one of the
+    # mirrored ones, tie to the last bit as the cheapest and end in
+    # different networks; the oracle keeps the first in enumeration order
+    src, pts, ms, alpha = (0.0, 0.0), [(1.6, 0.0), (2.5, 1.6), (2.5, -1.6)], [0.3, 0.35, 0.35], 0.35
+    placed = []
+    for shape in topologies(3):
+        junctions, edges = _plan(shape, pts, ms)
+        points = [src, *pts, *junctions]
+        assert oracle._joint_smooth_min(points, edges, 4, alpha)
+        oracle._descend(points, edges, 4, alpha)
+        net = TransportNetwork(src, 1.0)
+        net.wire([net.root] + [net.add_vertex(pt, terminal=True) for pt in pts],
+                 points[4:], edges)
+        net.canonicalize()
+        placed.append((plan_cost(points, edges, alpha), export_network(net, alpha)))
+    assert placed[1][0] == placed[2][0] < placed[0][0]
+    assert placed[1][1] != placed[2][1]
+    net, _ = enumerate_optimal(AtomicMeasure([src], [1.0]), AtomicMeasure(pts, ms), alpha)
+    assert export_network(net, alpha) == placed[1][1]
 
 
 def test_descent_tolerance_scales_with_the_instance(caplog):
