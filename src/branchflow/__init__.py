@@ -13,8 +13,6 @@ from .bifurcation import (
     BifurcationInput,
     BifurcationResult,
     BranchCase,
-    advantage,
-    balance_residual,
     branch_angles,
     objective_f,
     solve_two_targets,
@@ -39,12 +37,11 @@ from .network import BalanceReport, TransportNetwork
 from .optimize_global import (
     evaluate_reparent,
     global_optimize,
-    potential,
     reparent_pass,
     subdivide_long_edges,
 )
 from .optimize_local import improve_vertex, local_sweep
-from .oracle import enumerate_optimal, grid_minimize_f, topologies
+from .oracle import enumerate_optimal, grid_minimize_f
 from .svg import render_svg
 
 __version__ = "0.1.0"
@@ -62,8 +59,6 @@ __all__ = [
     "Instance",
     "InvariantViolation",
     "TransportNetwork",
-    "advantage",
-    "balance_residual",
     "bounding_cube",
     "branch_angles",
     "build_small",
@@ -81,10 +76,8 @@ __all__ = [
     "local_sweep",
     "objective_f",
     "parse_instance",
-    "potential",
     "render_svg",
     "reparent_pass",
     "solve_two_targets",
     "subdivide_long_edges",
-    "topologies",
 ]

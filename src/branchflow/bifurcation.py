@@ -158,24 +158,6 @@ def objective_f(b, inp: BifurcationInput) -> float:
     )
 
 
-def balance_residual(b, inp: BifurcationInput) -> float:
-    """Norm of the weighted unit-vector balance at B.
-
-    At an interior optimum the three pulls cancel:
-    m_o**a * u(B->O) + m_p**a * u(B->P) + m_q**a * u(B->Q) = 0.
-    """
-    b = _floats(b)
-    total = [0.0] * len(b)
-    for point, mass in ((inp.o, inp.m_o), (inp.p, inp.m_p), (inp.q, inp.m_q)):
-        point = _floats(point)
-        n = math.dist(point, b)
-        if n == 0.0:
-            return math.inf
-        w = mass ** inp.alpha
-        total = [t + w * (x - y) / n for t, x, y in zip(total, point, b)]
-    return math.hypot(*total)
-
-
 def solve_two_targets(inp: BifurcationInput) -> BifurcationResult:
     """Globally optimal branch point for a single bifurcation."""
     return BifurcationResult(*branch_point(_floats(inp.o), _floats(inp.p), _floats(inp.q),
@@ -267,9 +249,3 @@ def branch_point(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float, alpha: fl
                (BranchCase.COLLAPSE_TO_P, p, f_p, f_o),
                key=itemgetter(2))
 
-
-def advantage(inp: BifurcationInput) -> float:
-    """Savings of the optimal bifurcation over the plain V shape,
-    f(O) - f(B*); zero exactly when the V shape is already optimal."""
-    result = solve_two_targets(inp)
-    return result.v_cost - result.cost

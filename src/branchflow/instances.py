@@ -18,8 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import mass_tolerance
 from .errors import InputError, InvariantViolation
 from .measures import AtomicMeasure, check_source_targets
@@ -51,14 +49,16 @@ class Instance:
 
 # ---------------- synthetic point generators ----------------
 
-def _rng(seed: int | None) -> np.random.Generator:
+def _rng(seed: int | None):
     # PCG64 is pinned (not default_rng) so documented streams stay stable.
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(DEFAULT_SEED if seed is None else seed))
 
 
 def generate_points(kind: str, count: int, region: dict | None,
-                    seed: int | None) -> np.ndarray:
-    """Expand a generator spec into an (n, d) coordinate array.
+                    seed: int | None):
+    """Expand a generator spec into an (n, d) numpy coordinate array.
 
     uniform-square: i.i.d. uniform draws from an axis-aligned box
                     {"low": [...], "high": [...]}, default unit square.
@@ -67,6 +67,8 @@ def generate_points(kind: str, count: int, region: dict | None,
     disk-random:    uniform area draws from a disk via r = R*sqrt(u).
     disk-uniform:   deterministic sunflower layout (golden-angle spiral).
     """
+    import numpy as np
+
     if kind not in GENERATORS:
         raise InputError(f"unknown generator kind {kind!r}; expected one of {GENERATORS}")
     if count < 1:

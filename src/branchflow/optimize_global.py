@@ -2,12 +2,12 @@
 
 The marginal value of routing through a vertex is captured by the potential
 
-    potential(u, t) = sum over edges e on the root path of u of
-                      len(e) * (w(e)**a - (w(e) - t)**a),
+    P(u, t) = sum over edges e on the root path of u of
+              len(e) * (w(e)**a - (w(e) - t)**a),
 
 the exact cost change of deleting t units of flow along that path (t may be
 negative, meaning flow is added).  For a vertex u carrying m = edge_mass(u),
-S = potential(u, m) is what the network currently pays to bring m to u, and
+S = P(u, m) is what the network currently pays to bring m to u, and
 sigma = S / m**a is the search radius: a new parent v can only pay off when
 |v - u| <= sigma.
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .config import cost_tolerance, mass_tolerance, stalled
 from .construct import build_small, build_star, build_subdivision
@@ -39,27 +38,6 @@ from .optimize_local import local_sweep
 
 MAX_ROUNDS = 50  # a cap: a round that stops paying ends the loop first
 SUBDIVIDE_FACTOR = 2.0
-
-
-@dataclass(frozen=True)
-class ReparentProposal:
-    child: int
-    new_parent: int
-    gain: float
-    sigma: float
-
-
-def potential(net: TransportNetwork, u: int, t: float, alpha: float) -> float:
-    """Cost released by removing t units of flow along u's root path."""
-    m_u = net.edge_mass(u)
-    if abs(t) > m_u * (1.0 + 1e-12):
-        raise ValueError(f"|t| = {abs(t)} exceeds the flow {m_u} into vertex {u}")
-    total = 0.0
-    for vid in net.path_to_root(u)[1:]:
-        w = net.edge_mass(vid)
-        reduced = max(w - t, 0.0)
-        total += net.edge_length(vid) * (w ** alpha - reduced ** alpha)
-    return total
 
 
 def subdivide_long_edges(net: TransportNetwork) -> list[int]:
@@ -102,8 +80,12 @@ def _reparent_terms(net: TransportNetwork, u: int, alpha: float
     so only the root paths of the vertices asked about are read."""
     m_u = net.edge_mass(u)
     ma = m_u ** alpha
-    s_val = potential(net, u, m_u, alpha)
-    on_path = set(net.path_to_root(u)[1:])
+    root_path = net.path_to_root(u)[1:]
+    s_val = 0.0  # S = P(u, m_u)
+    for vid in root_path:
+        w = net.edge_mass(vid)
+        s_val += net.edge_length(vid) * (w ** alpha - max(w - m_u, 0.0) ** alpha)
+    on_path = set(root_path)
     known = {net.root: 0.0}
 
     def c(v: int) -> float | None:
@@ -124,20 +106,10 @@ def _reparent_terms(net: TransportNetwork, u: int, alpha: float
     return s_val, s_val / ma, ma, c
 
 
-def predicted_gain(net: TransportNetwork, u: int, v: int, alpha: float) -> float:
-    """S - T(v): the exact cost drop of reattaching u below v."""
-    if net.is_descendant(v, u):
-        raise ValueError(f"vertex {v} lies inside the subtree of {u}")
-    s_val, _, ma, c = _reparent_terms(net, u, alpha)
-    c_v = c(v)
-    if c_v is None:
-        raise ValueError(f"vertex {v} is not connected to the root")
-    return s_val - (c_v + math.dist(net.point(v), net.point(u)) * ma)
-
-
 def evaluate_reparent(net: TransportNetwork, u: int, alpha: float,
-                      eps_improve: float) -> ReparentProposal | None:
-    """Best new parent for u, or None when nothing beats the current one.
+                      eps_improve: float) -> tuple[int, float] | None:
+    """(new parent, gain S - T) for u, or None when nothing beats the
+    current parent by more than eps_improve.
 
     The candidates are the vertices outside u's subtree, other than its
     parent and reachable from the root, in the closed ball of radius sigma
@@ -167,7 +139,7 @@ def evaluate_reparent(net: TransportNetwork, u: int, alpha: float,
             best_v = v
     if best_v is None or s_val - best_t <= eps_improve:
         return None
-    return ReparentProposal(child=u, new_parent=best_v, gain=s_val - best_t, sigma=sigma)
+    return best_v, s_val - best_t
 
 
 def rewire(net: TransportNetwork, u: int, new_parent: int) -> None:
@@ -217,7 +189,8 @@ def reparent_pass(net: TransportNetwork, alpha: float, eps_improve: float) -> bo
         proposal = evaluate_reparent(net, u, alpha, eps_improve)
         if proposal is None:
             continue
-        rewire(net, u, proposal.new_parent)
+        new_parent, _ = proposal
+        rewire(net, u, new_parent)
         accepted = True
     return accepted
 

