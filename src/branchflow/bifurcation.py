@@ -36,6 +36,21 @@ masses and coordinates.  A triangle whose longest side is outside 2**+-200
 is solved scaled by an exact power of two, so that the products of four
 lengths in the angle tests neither underflow nor overflow.
 
+branch_point has two bodies.  Points with two coordinates take
+_branch_point_planar, every other dimension _branch_point_general, whose
+map/zip/sum steps work in any dimension.  The planar body performs the
+general body's float operations one by one, in the same order, on unpacked
+coordinates, so the two agree bit for bit, signed zeros included: a dot
+product is 0 + x0*y0 + x1*y1, which is what sum(map(mul, ...)) evaluates
+from its int start (so a -0.0 sum comes out 0.0, and int coordinates sum as
+ints); lengths stay math.dist and math.hypot; there is no fused multiply-add
+and no reassociation.  A planar triangle that needs the rescale, or whose
+points all coincide, goes to the general body, whose rescale re-enters
+branch_point on the scaled copy.  Unpacked, a planar call skips the
+per-dimension map and zip plumbing and takes about half the general body's
+time.  The general body stays: it serves d >= 3, and the tests hold the
+planar body to it.
+
 The mass terms, the optimal angles, the halves cot(t1)/2 and cot(t2)/2 and
 the weights m_o**a, m_p**a and m_q**a, depend on (m_p, m_q, alpha) alone and
 come from _mass_terms, an lru_cache of MASS_TERMS_CACHE = 512 entries.  In
@@ -167,7 +182,17 @@ def solve_two_targets(inp: BifurcationInput) -> BifurcationResult:
 def branch_point(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float, alpha: float) -> tuple:
     """(case, b_star, cost, v_cost) for unchecked float tuples, masses and
     alpha: classifies the triangle against the optimal angles, then returns
-    a vertex or builds the interior branch point by circumcenter reflection."""
+    a vertex or builds the interior branch point by circumcenter reflection.
+    Points with two coordinates take the planar body, all others the general
+    one; the two bodies agree bit for bit in the plane."""
+    if len(o) == 2:
+        return _branch_point_planar(o, p, q, m_p, m_q, alpha)
+    return _branch_point_general(o, p, q, m_p, m_q, alpha)
+
+
+def _branch_point_general(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float,
+                          alpha: float) -> tuple:
+    """branch_point in any dimension, one map/zip/sum per vector step."""
     l_op = math.dist(o, p)
     l_oq = math.dist(o, q)
     l_pq = math.dist(p, q)
@@ -249,3 +274,80 @@ def branch_point(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float, alpha: fl
                (BranchCase.COLLAPSE_TO_P, p, f_p, f_o),
                key=itemgetter(2))
 
+
+def _branch_point_planar(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float,
+                         alpha: float) -> tuple:
+    """_branch_point_general for two coordinates, bit for bit: the same
+    float operations in the same order on unpacked coordinates."""
+    l_op = math.dist(o, p)
+    l_oq = math.dist(o, q)
+    l_pq = math.dist(p, q)
+    scale = max(l_op, l_oq, l_pq)
+    if scale == 0.0 or not -200 < math.frexp(scale)[1] < 200:
+        return _branch_point_general(o, p, q, m_p, m_q, alpha)
+    tol = _COINCIDENT_REL * scale
+    if l_pq <= tol:
+        raise DegenerateInputError("the two targets coincide")
+
+    (t1, t2, t3), (h1, h2), w_o, w_p, w_q = _mass_terms(m_p, m_q, alpha)
+    f_o = w_p * l_op + w_q * l_oq
+    if l_op <= tol or l_oq <= tol:
+        return BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o
+    o_x, o_y = o
+    p_x, p_y = p
+    q_x, q_y = q
+    op_x = p_x - o_x
+    op_y = p_y - o_y
+    oq_x = q_x - o_x
+    oq_y = q_y - o_y
+    pq_x = q_x - p_x
+    pq_y = q_y - p_y
+    dot_o = 0 + op_x * oq_x + op_y * oq_y
+    if math.atan2(math.sqrt(max(l_op * l_op * l_oq * l_oq - dot_o * dot_o, 0.0)),
+                  dot_o) >= t3:  # the angle at O
+        return BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o
+    f_q = w_o * l_oq + w_p * l_pq
+    dot_q = 0 + oq_x * pq_x + oq_y * pq_y
+    if math.atan2(math.sqrt(max(l_oq * l_oq * l_pq * l_pq - dot_q * dot_q, 0.0)),
+                  dot_q) >= t1:  # the angle at Q
+        return BranchCase.COLLAPSE_TO_Q, q, f_q, f_o
+    f_p = w_o * l_op + w_q * l_pq
+    dot_p = -(0 + op_x * pq_x + op_y * pq_y)
+    if math.atan2(math.sqrt(max(l_op * l_op * l_pq * l_pq - dot_p * dot_p, 0.0)),
+                  dot_p) >= t2:  # the angle at P
+        return BranchCase.COLLAPSE_TO_P, p, f_p, f_o
+
+    try:
+        c_q = dot_o / (l_op * l_op)
+        c_p = dot_o / (l_oq * l_oq)
+        qm_x = c_q * op_x - oq_x
+        qm_y = c_q * op_y - oq_y
+        ph_x = c_p * oq_x - op_x
+        ph_y = c_p * oq_y - op_y
+        n_qm = math.hypot(qm_x, qm_y)
+        n_ph = math.hypot(ph_x, ph_y)
+        r_x = (o_x + p_x) / 2.0 - h1 * (qm_x / n_qm) * l_op
+        s_x = (o_x + q_x) / 2.0 - h2 * (ph_x / n_ph) * l_oq
+        rs_x = s_x - r_x
+        or_x = o_x - r_x
+        r_y = (o_y + p_y) / 2.0 - h1 * (qm_y / n_qm) * l_op
+        s_y = (o_y + q_y) / 2.0 - h2 * (ph_y / n_ph) * l_oq
+        rs_y = s_y - r_y
+        or_y = o_y - r_y
+        rs_sq = 0 + rs_x * rs_x + rs_y * rs_y
+        if rs_sq <= tol * tol:
+            lam = 0.0
+        else:
+            lam = (0 + or_x * rs_x + or_y * rs_y) / rs_sq
+        b = (2.0 * ((1.0 - lam) * r_x + lam * s_x) - o_x,
+             2.0 * ((1.0 - lam) * r_y + lam * s_y) - o_y)
+    except ZeroDivisionError:
+        b = None
+    if b is not None and math.isfinite(b[0]) and math.isfinite(b[1]):
+        cost = w_o * math.dist(b, o) + w_p * math.dist(p, b) + w_q * math.dist(q, b)
+        if cost < min(f_o, f_q, f_p):
+            return BranchCase.INTERIOR_Y, b, cost, f_o
+    return min((BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o),
+               (BranchCase.COLLAPSE_TO_Q, q, f_q, f_o),
+               (BranchCase.COLLAPSE_TO_P, p, f_p, f_o),
+               key=itemgetter(2))

@@ -20,12 +20,18 @@ none, and it still matches this reference within 1e-12 of the scale on all
 The solver calls the kernel `branch_point` on plain floats, with no checks;
 `solve_two_targets` is the checked public entry around it, and the two must
 agree bit for bit.  The checks themselves are tested in test_bifurcation.
+
+branch_point sends d = 2 points to a planar body and all others to the
+general one.  The planar body must equal the general body bit for bit, signed
+zeros included, on every d = 2 input here and on edge cases of its own, and
+no other dimension may enter it.
 """
 import math
 
 import numpy as np
 import pytest
 
+from branchflow import bifurcation
 from branchflow.bifurcation import (
     _COINCIDENT_REL,
     BifurcationInput,
@@ -207,8 +213,13 @@ def test_result_types_are_floats():
     assert type(res.cost) is float and type(res.v_cost) is float
 
 
+def _exact(x):
+    """A float as its hex digits, so -0.0 and 0.0 differ; an int as itself."""
+    return x.hex() if type(x) is float else x
+
+
 def _bits(case, b_star, cost, v_cost):
-    return case, tuple(map(float.hex, b_star)), cost.hex(), v_cost.hex()
+    return case, tuple(map(_exact, b_star)), _exact(cost), _exact(v_cost)
 
 
 def _entries_agree(o, p, q, m_p, m_q, alpha):
@@ -253,3 +264,114 @@ def test_kernel_and_public_entry_agree_bit_for_bit():
         cases[_entries_agree(*args)] += 1
     assert min(cases.values()) >= 100, cases
 
+
+def _planar_edge_inputs():
+    """d = 2 inputs on the planar body's edges: the thin triangles of the
+    sliver bug (ROADMAP item 4), which the planar body must reproduce;
+    exactly collinear triangles in ints and in floats, each vertex in the
+    middle once, and int triangles up to 2**50; signed zeros; longest sides
+    at and around 2**+-199, 2**+-200 and 2**+-201, where the rescale starts;
+    alpha 1; a mass ratio whose k1 or k2 underflows; and coincident
+    targets."""
+    out = []
+    for e in range(2, 11):
+        out.append(((0.0, 0.0), (10.0 ** e, 1.0), (10.0 ** e, -1.0), 0.5, 0.5, 0.5))
+    masses = ((0.5, 0.5, 0.5), (0.2, 0.9, 0.75), (1.3, 0.4, 0.3))
+    lines = (((0, 0), (1, 2), (3, 6)), ((-4, 1), (2, -2), (6, -4)), ((5, 0), (0, 0), (7, 0)))
+    for line in lines:
+        for a, b, c in ((line[1], line[0], line[2]), (line[0], line[1], line[2]),
+                        (line[0], line[2], line[1])):
+            for pts in ((a, b, c), tuple(tuple(map(float, v)) for v in (a, b, c))):
+                out.extend((*pts, *m) for m in masses)
+    # int coordinates up to 2**50: their dot products are exact ints, as in sum()
+    for pts in (((0, 0), (4, 1), (4, -1)), ((1, -3), (7, 2), (2, 5)), ((0, 0), (1, 1), (1, -1)),
+                ((26550782, -975535001), (462327730, 662688057), (-996142360, 725107465)),
+                ((-226919560720, 493219528485), (143783646368, -752944593814),
+                 (733281284401, 229440554697)),
+                ((1061431740058576, 197494261338107), (-1073742460419670, 3117174378896),
+                 (958990063254059, 440832679753358))):
+        out.extend((*pts, *m) for m in masses)
+    zeros = (0.0, -0.0)
+    for shape in (((0.0, 0.0), (2.0, 1.0), (2.0, -1.0)), ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+                  ((1.0, 0.0), (0.0, 0.0), (0.0, 1.0))):
+        for signs in range(64):  # bit 2i + j: the sign of coordinate j of point i, if zero
+            pts = tuple(tuple(x or zeros[signs >> (2 * i + j) & 1] for j, x in enumerate(v))
+                        for i, v in enumerate(shape))
+            out.extend((*pts, *m) for m in masses)
+    shapes = (((0.0, 0.0), (1.0, 0.0), (0.5, 0.25)), ((0.5, -2.0), (0.0, 0.0), (0.5, 0.0)),
+              ((0.0, 0.0), (0.5, 0.5), (0.5, -0.5)))
+    for k in (-201, -200, -199, 199, 200, 201):
+        for factor in (1.0, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52):
+            s = math.ldexp(factor, k)
+            for o, p, q in shapes:
+                pts = tuple(tuple(s * x for x in v) for v in (o, p, q))
+                out.extend((*pts, *m) for m in masses)
+    for o, p, q in (((0.0, 0.0), (2.0, 1.0), (2.0, -1.0)), ((0.3, 0.1), (1.7, 0.4), (0.2, 1.9))):
+        out.append((o, p, q, 0.4, 0.7, 1.0))
+        out.append((o, p, q, 1e-300, 1.0, 0.9))
+        out.append((o, p, q, 1.0, 1e-300, 0.9))
+        out.append((o, p, p, 0.4, 0.7, 0.5))
+        out.append((o, q, q, 0.4, 0.7, 1.0))
+    return out
+
+
+def _outcome(body, args):
+    """The body's four fields as _bits, or DegenerateInputError."""
+    try:
+        return _bits(*body(*args))
+    except DegenerateInputError:
+        return DegenerateInputError
+
+
+def test_planar_body_matches_general_body_bit_for_bit(monkeypatch):
+    """branch_point sends every d = 2 input to the planar body, and its four
+    fields equal the general body's bit for bit, signed zeros included (both
+    raise on coincident targets).  The general side runs with branch_point
+    bound to the general body, so its rescale never reaches the planar one."""
+    inputs = [a for a in _inputs() + _edge_inputs() if len(a[0]) == 2] + _planar_edge_inputs()
+    planar = bifurcation._branch_point_planar
+    entered = []
+
+    def counted(*args):
+        entered.append(args)
+        return planar(*args)
+
+    monkeypatch.setattr(bifurcation, "_branch_point_planar", counted)
+    got = []
+    for args in inputs:
+        del entered[:]
+        got.append(_outcome(branch_point, args))
+        assert entered[:1] == [args]
+    monkeypatch.setattr(bifurcation, "branch_point", bifurcation._branch_point_general)
+    want = [_outcome(bifurcation._branch_point_general, args) for args in inputs]
+    mismatched = [(args, g, w) for args, g, w in zip(inputs, got, want) if g != w]
+    assert not mismatched, (len(mismatched), mismatched[:3])
+    cases = {w if w is DegenerateInputError else w[0] for w in want}
+    assert cases == {*BranchCase, DegenerateInputError}
+
+
+def test_planar_body_returns_the_callers_corner_objects():
+    seen = set()
+    for o, p, q, m_p, m_q, alpha in _planar_edge_inputs():
+        try:
+            case, b_star, _, _ = branch_point(o, p, q, m_p, m_q, alpha)
+        except DegenerateInputError:
+            continue
+        corner = {BranchCase.V_SHAPE_AT_SOURCE: o, BranchCase.COLLAPSE_TO_P: p,
+                  BranchCase.COLLAPSE_TO_Q: q}.get(case)
+        assert corner is None or b_star is corner
+        seen.add(case)
+    assert seen == set(BranchCase)
+
+
+def test_other_dimensions_never_enter_the_planar_body(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a d != 2 input reached the planar body")
+
+    monkeypatch.setattr(bifurcation, "_branch_point_planar", forbidden)
+    seen = 0
+    for args in _inputs() + _edge_inputs():
+        if len(args[0]) != 2:
+            _outcome(branch_point, args)
+            seen += 1
+    assert seen >= 7_000
