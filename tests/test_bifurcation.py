@@ -59,14 +59,18 @@ def test_spot_interior_solution():
 
 
 # (triangle, its case at unit scale): SPOT, a thin Y whose junction sits at
-# x = 1 - 0.1 (a V would cost 1.42 against 1.10), and a right angle at O that
-# sits exactly on the V-shape boundary t3 = pi/2
+# x = 1 - 0.1 (a V would cost 1.42 against 1.10), a right angle at O that
+# sits exactly on the V-shape boundary t3 = pi/2, and the thin Y tripled and
+# laid in the tilted plane spanned by (1, 2, 2) and (2, 1, -2), so that the
+# 3-d body's hand-off to the rescale is reached too
 SCALED = {
     "spot": (SPOT, BranchCase.INTERIOR_Y),
     "thin": (BifurcationInput(o=(0.0, 0.0), p=(1.0, 0.1), q=(1.0, -0.1),
                               m_p=0.5, m_q=0.5, alpha=0.5), BranchCase.INTERIOR_Y),
     "right": (BifurcationInput(o=(0.0, 0.0), p=(1.0, 1.0), q=(1.0, -1.0),
                                m_p=0.5, m_q=0.5, alpha=0.5), BranchCase.V_SHAPE_AT_SOURCE),
+    "tilted": (BifurcationInput(o=(0.0, 0.0, 0.0), p=(1.2, 2.1, 1.8), q=(0.8, 1.9, 2.2),
+                                m_p=0.5, m_q=0.5, alpha=0.5), BranchCase.INTERIOR_Y),
 }
 
 

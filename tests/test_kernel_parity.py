@@ -21,10 +21,11 @@ The solver calls the kernel `branch_point` on plain floats, with no checks;
 `solve_two_targets` is the checked public entry around it, and the two must
 agree bit for bit.  The checks themselves are tested in test_bifurcation.
 
-branch_point sends d = 2 points to a planar body and all others to the
-general one.  The planar body must equal the general body bit for bit, signed
-zeros included, on every d = 2 input here and on edge cases of its own, and
-no other dimension may enter it.
+branch_point sends d = 2 points to a planar body, d = 3 points to a 3-d
+body and all others to the general one.  Each unpacked body must equal the
+general body bit for bit, signed zeros included, on every input of its
+dimension here and on edge cases of its own, and no other dimension may
+enter it.
 """
 import math
 
@@ -291,6 +292,12 @@ def _planar_edge_inputs():
                 ((1061431740058576, 197494261338107), (-1073742460419670, 3117174378896),
                  (958990063254059, 440832679753358))):
         out.extend((*pts, *m) for m in masses)
+    # int triangles whose angle at Q, then at P, meets t1, then t2, where the
+    # int-start fold and a 0.0-start fold of dot_q, then dot_p, part ways
+    out.append(((32284514295880, 22375347396773), (115353124987729, 19537308404768),
+                (67446005170911, 19585934236528), 163.0660783971254, 1.0, 0.5))
+    out.append(((16341079192468, 11276062734858), (6559001083848, 6266363992275),
+                (-5591995078405, -6031825364403), 0.10843672930496606, 1.0, 0.5))
     zeros = (0.0, -0.0)
     for shape in (((0.0, 0.0), (2.0, 1.0), (2.0, -1.0)), ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
                   ((1.0, 0.0), (0.0, 0.0), (0.0, 1.0))):
@@ -315,6 +322,80 @@ def _planar_edge_inputs():
     return out
 
 
+def _3d_edge_inputs():
+    """d = 3 inputs on the 3-d body's edges, after _planar_edge_inputs: the
+    sliver-bug triangles laid in the tilted plane spanned by (1, 2, 2) and
+    (2, 1, -2); exactly collinear triangles in ints and in floats, each
+    vertex in the middle once, and int triangles up to 2**50; every sign
+    placement on the zero coordinates of three shapes; longest sides at and
+    around 2**+-199, 2**+-200 and 2**+-201; alpha 1; a mass ratio whose k1 or
+    k2 underflows; and coincident targets."""
+    out = []
+    for e in range(2, 11):
+        length = 10.0 ** e
+        out.append(((0.0, 0.0, 0.0), (length + 2.0, 2.0 * length + 1.0, 2.0 * length - 2.0),
+                    (length - 2.0, 2.0 * length - 1.0, 2.0 * length + 2.0), 0.5, 0.5, 0.5))
+    masses = ((0.5, 0.5, 0.5), (0.2, 0.9, 0.75), (1.3, 0.4, 0.3))
+    lines = (((0, 0, 0), (1, 2, 3), (3, 6, 9)), ((-4, 1, 2), (2, -2, 5), (8, -5, 8)),
+             ((5, 0, 0), (0, 0, 0), (7, 0, 0)))
+    for line in lines:
+        for a, b, c in ((line[1], line[0], line[2]), (line[0], line[1], line[2]),
+                        (line[0], line[2], line[1])):
+            for pts in ((a, b, c), tuple(tuple(map(float, v)) for v in (a, b, c))):
+                out.extend((*pts, *m) for m in masses)
+    # int coordinates up to 2**50: their dot products are exact ints, as in sum()
+    for pts in (((0, 0, 0), (4, 1, 2), (4, -1, -2)), ((1, -3, 2), (7, 2, -1), (2, 5, 3)),
+                ((23460385, -841377920, 509211430), (-621508874, 300512398, 994830272),
+                 (730419811, 642135517, -164382205)),
+                ((-413675284136, 820371853218, 97430118426),
+                 (652006914275, -350271650829, -784230551038),
+                 (-10487532981, 293746018275, 711924839201)),
+                ((1117920638273648, -402317264013375, 771034285591129),
+                 (-985124077013872, 1042917355268841, -6630419825377),
+                 (345871992011583, 919482616000137, -1103387102288462))):
+        out.extend((*pts, *m) for m in masses)
+    # int triangles whose angle at Q, then at P, meets t1, then t2, where the
+    # int-start fold and a 0.0-start fold of dot_q, then dot_p, part ways
+    out.append(((4204985708912, 6978704986765, -8118060264798),
+                (-102220472398, 8076448974620, 11454275965384),
+                (3046572173929, 7938176840862, 508936910947), 31.655387272080514, 1.0, 0.5))
+    out.append(((116365555202809, 3521457834430, 35888228803012),
+                (130038495259304, -77250529300656, -23778036577570),
+                (166298743619490, -98435571420756, -34119570883563), 1.409158397227169, 1.0, 0.5))
+    zeros = (0.0, -0.0)
+    for shape in (((0.0, 0.0, 0.0), (2.0, 1.0, 0.0), (2.0, -1.0, 0.0)),
+                  ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 1.0)),
+                  ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 1.0, 0.5))):
+        at = [(i, j) for i, v in enumerate(shape) for j, x in enumerate(v) if x == 0.0]
+        for signs in range(2 ** len(at)):  # bit n: the sign of the n-th zero coordinate
+            pts = [list(v) for v in shape]
+            for n, (i, j) in enumerate(at):
+                pts[i][j] = zeros[signs >> n & 1]
+            out.extend((*map(tuple, pts), *m) for m in masses)
+    shapes = (((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 0.25, 0.125)),
+              ((0.0, 0.0, 0.0), (0.0, 0.5, 0.5), (0.0, 0.5, -0.5)),
+              ((0.25, -1.0, 0.5), (0.0, 0.0, 0.0), (0.25, 0.0, 0.5)))
+    for k in (-201, -200, -199, 199, 200, 201):
+        for factor in (1.0, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52):
+            s = math.ldexp(factor, k)
+            for o, p, q in shapes:
+                pts = tuple(tuple(s * x for x in v) for v in (o, p, q))
+                out.extend((*pts, *m) for m in masses)
+    for o, p, q in (((0.0, 0.0, 0.0), (2.0, 1.0, 0.5), (2.0, -1.0, -0.5)),
+                    ((0.3, 0.1, -0.2), (1.7, 0.4, 0.9), (0.2, 1.9, -1.1))):
+        out.append((o, p, q, 0.4, 0.7, 1.0))
+        out.append((o, p, q, 1e-300, 1.0, 0.9))
+        out.append((o, p, q, 1.0, 1e-300, 0.9))
+        out.append((o, p, p, 0.4, 0.7, 0.5))
+        out.append((o, q, q, 0.4, 0.7, 1.0))
+    return out
+
+
+# (dimension, the unpacked body branch_point sends it to)
+UNPACKED_BODIES = ((2, "_branch_point_planar"), (3, "_branch_point_3d"))
+_OWN_EDGE_INPUTS = {2: _planar_edge_inputs, 3: _3d_edge_inputs}
+
+
 def _outcome(body, args):
     """The body's four fields as _bits, or DegenerateInputError."""
     try:
@@ -323,20 +404,27 @@ def _outcome(body, args):
         return DegenerateInputError
 
 
-def test_planar_body_matches_general_body_bit_for_bit(monkeypatch):
-    """branch_point sends every d = 2 input to the planar body, and its four
-    fields equal the general body's bit for bit, signed zeros included (both
-    raise on coincident targets).  The general side runs with branch_point
-    bound to the general body, so its rescale never reaches the planar one."""
-    inputs = [a for a in _inputs() + _edge_inputs() if len(a[0]) == 2] + _planar_edge_inputs()
-    planar = bifurcation._branch_point_planar
+def _inputs_of_dimension(d):
+    """Every input of dimension d here: the shared ones, then the body's own edges."""
+    return [a for a in _inputs() + _edge_inputs() if len(a[0]) == d] + _OWN_EDGE_INPUTS[d]()
+
+
+@pytest.mark.parametrize("d, name", UNPACKED_BODIES)
+def test_unpacked_body_matches_general_body_bit_for_bit(monkeypatch, d, name):
+    """branch_point sends every input of dimension d to its unpacked body,
+    and its four fields equal the general body's bit for bit, signed zeros
+    included (both raise on coincident targets).  The general side runs with
+    branch_point bound to the general body, so its rescale never reaches the
+    unpacked one."""
+    inputs = _inputs_of_dimension(d)
+    body = getattr(bifurcation, name)
     entered = []
 
     def counted(*args):
         entered.append(args)
-        return planar(*args)
+        return body(*args)
 
-    monkeypatch.setattr(bifurcation, "_branch_point_planar", counted)
+    monkeypatch.setattr(bifurcation, name, counted)
     got = []
     for args in inputs:
         del entered[:]
@@ -350,9 +438,12 @@ def test_planar_body_matches_general_body_bit_for_bit(monkeypatch):
     assert cases == {*BranchCase, DegenerateInputError}
 
 
-def test_planar_body_returns_the_callers_corner_objects():
+@pytest.mark.parametrize("d", sorted(_OWN_EDGE_INPUTS))
+def test_unpacked_body_returns_the_callers_corner_objects(d):
+    """A corner B*, from an angle test, the best-corner fallback or the
+    rescale, is the caller's own o, p or q object."""
     seen = set()
-    for o, p, q, m_p, m_q, alpha in _planar_edge_inputs():
+    for o, p, q, m_p, m_q, alpha in _inputs_of_dimension(d):
         try:
             case, b_star, _, _ = branch_point(o, p, q, m_p, m_q, alpha)
         except DegenerateInputError:
@@ -364,14 +455,18 @@ def test_planar_body_returns_the_callers_corner_objects():
     assert seen == set(BranchCase)
 
 
-def test_other_dimensions_never_enter_the_planar_body(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("a d != 2 input reached the planar body")
+def test_each_dimension_enters_only_its_own_unpacked_body(monkeypatch):
+    """d = 2 never enters the 3-d body nor d = 3 the planar one, rescale
+    included, and d = 4-5 enters neither unpacked body."""
+    for d, name in UNPACKED_BODIES:
+        def guarded(*args, d=d, body=getattr(bifurcation, name)):
+            if len(args[0]) != d:
+                raise AssertionError(f"a d = {len(args[0])} input reached the d = {d} body")
+            return body(*args)
 
-    monkeypatch.setattr(bifurcation, "_branch_point_planar", forbidden)
-    seen = 0
+        monkeypatch.setattr(bifurcation, name, guarded)
+    seen = dict.fromkeys(range(2, 6), 0)
     for args in _inputs() + _edge_inputs():
-        if len(args[0]) != 2:
-            _outcome(branch_point, args)
-            seen += 1
-    assert seen >= 7_000
+        _outcome(branch_point, args)
+        seen[len(args[0])] += 1
+    assert min(seen.values()) >= 3_000, seen
