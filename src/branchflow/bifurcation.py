@@ -38,19 +38,22 @@ lengths in the angle tests neither underflow nor overflow.
 
 branch_point has three bodies.  Points with two coordinates take
 _branch_point_planar, three coordinates _branch_point_3d, and every other
-dimension _branch_point_general, whose map/zip/sum steps work in any
+dimension _branch_point_general, whose map/zip/fold steps work in any
 dimension.  The two unpacked bodies perform the general body's float
 operations one by one, in the same order, on unpacked coordinates, so each
-agrees with it bit for bit, signed zeros included: a dot product is
-0 + x0*y0 + x1*y1 (+ x2*y2), which is what sum(map(mul, ...)) evaluates from
-its int start (so a -0.0 sum comes out 0.0, and int coordinates sum as
-ints); lengths stay math.dist and math.hypot; there is no fused multiply-add
-and no reassociation.  A triangle that needs the rescale, or whose points
-all coincide, goes from an unpacked body to the general body, whose rescale
-re-enters branch_point on the scaled copy.  Unpacked, a call skips the
-per-dimension map and zip plumbing and takes about half the general body's
-time.  The general body stays: it serves d >= 4, and the tests hold both
-unpacked bodies to it.
+agrees with it bit for bit, signed zeros included: a dot product is the left
+fold 0 + x0*y0 + x1*y1 (+ x2*y2), which the general body spells
+reduce(add, map(mul, ...), 0) (its int start turns a -0.0 sum into 0.0, and
+int coordinates sum as ints); lengths stay math.dist and math.hypot; there
+is no fused multiply-add and no reassociation.  The fold is not sum(): from
+Python 3.12 on, sum() compensates its float additions, which changes the
+last bit of some three-term dot products and would tie the kernel's output
+to the interpreter's version.  A triangle that needs the rescale, or whose
+points all coincide, goes from an unpacked body to the general body, whose
+rescale re-enters branch_point on the scaled copy.  Unpacked, a call skips
+the per-dimension map and zip plumbing and takes about half the general
+body's time.  The general body stays: it serves d >= 4, and the tests hold
+both unpacked bodies to it.
 
 The mass terms, the optimal angles, the halves cot(t1)/2 and cot(t2)/2 and
 the weights m_o**a, m_p**a and m_q**a, depend on (m_p, m_q, alpha) alone and
@@ -64,8 +67,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from operator import itemgetter, mul, sub
+from functools import lru_cache, reduce
+from operator import add, itemgetter, mul, sub
 
 from .errors import DegenerateInputError
 
@@ -197,7 +200,7 @@ def branch_point(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float, alpha: fl
 
 def _branch_point_general(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float,
                           alpha: float) -> tuple:
-    """branch_point in any dimension, one map/zip/sum per vector step."""
+    """branch_point in any dimension, one map/zip/fold per vector step."""
     l_op = math.dist(o, p)
     l_oq = math.dist(o, q)
     l_pq = math.dist(p, q)
@@ -224,21 +227,21 @@ def _branch_point_general(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float,
         return BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o
     # The angle tests below are atan2(|u x v|, u.v) written out, with
     # |u x v|**2 = |u|**2 |v|**2 - (u.v)**2: stable near 0 and pi.  The dot
-    # products stay sum(map(mul, ...)), whose int start turns a -0.0 into 0.0.
+    # products are left folds from int 0, which turns a -0.0 into 0.0.
     op = tuple(map(sub, p, o))
     oq = tuple(map(sub, q, o))
     pq = tuple(map(sub, q, p))
-    dot_o = sum(map(mul, op, oq))
+    dot_o = reduce(add, map(mul, op, oq), 0)
     if math.atan2(math.sqrt(max(l_op * l_op * l_oq * l_oq - dot_o * dot_o, 0.0)),
                   dot_o) >= t3:  # the angle at O
         return BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o
     f_q = w_o * l_oq + w_p * l_pq
-    dot_q = sum(map(mul, oq, pq))
+    dot_q = reduce(add, map(mul, oq, pq), 0)
     if math.atan2(math.sqrt(max(l_oq * l_oq * l_pq * l_pq - dot_q * dot_q, 0.0)),
                   dot_q) >= t1:  # the angle at Q
         return BranchCase.COLLAPSE_TO_Q, q, f_q, f_o
     f_p = w_o * l_op + w_q * l_pq
-    dot_p = -sum(map(mul, op, pq))
+    dot_p = -reduce(add, map(mul, op, pq), 0)
     if math.atan2(math.sqrt(max(l_op * l_op * l_pq * l_pq - dot_p * dot_p, 0.0)),
                   dot_p) >= t2:  # the angle at P
         return BranchCase.COLLAPSE_TO_P, p, f_p, f_o
@@ -259,11 +262,11 @@ def _branch_point_general(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float,
             s.append(s_i)
             rs.append(s_i - r_i)
             o_r.append(x - r_i)
-        rs_sq = sum(map(mul, rs, rs))
+        rs_sq = reduce(add, map(mul, rs, rs), 0)
         if rs_sq <= tol * tol:
             lam = 0.0  # concentric limit: reflect straight through the center
         else:
-            lam = sum(map(mul, o_r, rs)) / rs_sq
+            lam = reduce(add, map(mul, o_r, rs), 0) / rs_sq
         b = tuple(2.0 * ((1.0 - lam) * x + lam * y) - z for x, y, z in zip(r, s, o))
     except ZeroDivisionError:
         b = None
