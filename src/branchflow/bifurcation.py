@@ -36,24 +36,22 @@ masses and coordinates.  A triangle whose longest side is outside 2**+-200
 is solved scaled by an exact power of two, so that the products of four
 lengths in the angle tests neither underflow nor overflow.
 
-branch_point has three bodies.  Points with two coordinates take
-_branch_point_planar, three coordinates _branch_point_3d, and every other
-dimension _branch_point_general, whose map/zip/fold steps work in any
-dimension.  The two unpacked bodies perform the general body's float
-operations one by one, in the same order, on unpacked coordinates, so each
-agrees with it bit for bit, signed zeros included: a dot product is the left
-fold 0 + x0*y0 + x1*y1 (+ x2*y2), which the general body spells
-reduce(add, map(mul, ...), 0) (its int start turns a -0.0 sum into 0.0, and
-int coordinates sum as ints); lengths stay math.dist and math.hypot; there
-is no fused multiply-add and no reassociation.  The fold is not sum(): from
-Python 3.12 on, sum() compensates its float additions, which changes the
-last bit of some three-term dot products and would tie the kernel's output
-to the interpreter's version.  A triangle that needs the rescale, or whose
-points all coincide, goes from an unpacked body to the general body, whose
-rescale re-enters branch_point on the scaled copy.  Unpacked, a call skips
-the per-dimension map and zip plumbing and takes about half the general
-body's time.  The general body stays: it serves d >= 4, and the tests hold
-both unpacked bodies to it.
+branch_point has one body, the template _TEMPLATE.  _body(d) expands it
+into straight-line code on d unpacked coordinates, compiles it with this
+module's globals on first use (about 1 ms), registers its source with
+linecache as <branch_point d=N> for tracebacks and inspect.getsource, and
+keeps it in _BODIES, so every dimension runs the one construction.  The
+rescale and the all-coincident case leave the body for _rescaled, which
+re-enters branch_point on the 2**-k copy.  Generated code is harder to step
+through, and coverage tools do not see its lines; the tests hold each body
+bit for bit to the map/zip/fold general body kept in tests/reference.py.
+
+Every float reduction, here and in the rest of the package, is an explicit
+left fold from int 0: a dot product is 0 + x0*y0 + x1*y1 + ..., so a -0.0
+sum comes out 0.0 and int coordinates sum exactly as ints.  It is never
+sum(), which from Python 3.12 on compensates float additions and would tie
+the output's last bit to the interpreter's version.  Lengths are math.dist
+and math.hypot; there is no fused multiply-add and no reassociation.
 
 The mass terms, the optimal angles, the halves cot(t1)/2 and cot(t2)/2 and
 the weights m_o**a, m_p**a and m_q**a, depend on (m_p, m_q, alpha) alone and
@@ -64,11 +62,13 @@ meets at most 252 distinct keys, so the bound holds them with room to spare.
 """
 from __future__ import annotations
 
+import linecache
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, reduce
-from operator import add, itemgetter, mul, sub
+from functools import lru_cache
+from operator import itemgetter
 
 from .errors import DegenerateInputError
 
@@ -187,35 +187,22 @@ def branch_point(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float, alpha: fl
     """(case, b_star, cost, v_cost) for unchecked float tuples, masses and
     alpha: classifies the triangle against the optimal angles, then returns
     a vertex or builds the interior branch point by circumcenter reflection.
-    Points with two coordinates take the planar body, three the 3-d body and
-    all others the general one; each unpacked body agrees bit for bit with
-    the general one in its dimension."""
-    d = len(o)
-    if d == 2:
-        return _branch_point_planar(o, p, q, m_p, m_q, alpha)
-    if d == 3:
-        return _branch_point_3d(o, p, q, m_p, m_q, alpha)
-    return _branch_point_general(o, p, q, m_p, m_q, alpha)
+    Runs the body generated for len(o) coordinates."""
+    return (_BODIES.get(len(o)) or _body(len(o)))(o, p, q, m_p, m_q, alpha)
 
 
-def _branch_point_general(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float,
-                          alpha: float) -> tuple:
-    """branch_point in any dimension, one map/zip/fold per vector step."""
+# The kernel's one body.  _body(d) writes each {group} out once per
+# coordinate in place, then repeats each line that still holds an @ once per
+# coordinate; @ becomes the coordinate's index.  A dot product is the left
+# fold 0{ + a_@ * b_@}, never sum().
+_TEMPLATE = """\
+def branch_point(o, p, q, m_p, m_q, alpha):
     l_op = math.dist(o, p)
     l_oq = math.dist(o, q)
     l_pq = math.dist(p, q)
     scale = max(l_op, l_oq, l_pq)
-    k = math.frexp(scale)[1]
-    if not -200 < k < 200:  # solve scaled by 2**-k, exactly; a corner B* is the point given
-        case, b, cost, v_cost = branch_point(
-            *(tuple(math.ldexp(x, -k) for x in v) for v in (o, p, q)), m_p, m_q, alpha)
-        b = {BranchCase.V_SHAPE_AT_SOURCE: o, BranchCase.COLLAPSE_TO_P: p,
-             BranchCase.COLLAPSE_TO_Q: q}.get(case) or tuple(math.ldexp(x, k) for x in b)
-        return case, b, math.ldexp(cost, k), math.ldexp(v_cost, k)
-
-    if scale == 0.0:
-        # all three points coincide: nothing to transport anywhere
-        return BranchCase.V_SHAPE_AT_SOURCE, o, 0.0, 0.0
+    if scale == 0.0 or not -200 < math.frexp(scale)[1] < 200:
+        return _rescaled(o, p, q, m_p, m_q, alpha, scale)
     tol = _COINCIDENT_REL * scale
     if l_pq <= tol:
         raise DegenerateInputError("the two targets coincide")
@@ -226,51 +213,51 @@ def _branch_point_general(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float,
     if l_op <= tol or l_oq <= tol:
         return BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o
     # The angle tests below are atan2(|u x v|, u.v) written out, with
-    # |u x v|**2 = |u|**2 |v|**2 - (u.v)**2: stable near 0 and pi.  The dot
-    # products are left folds from int 0, which turns a -0.0 into 0.0.
-    op = tuple(map(sub, p, o))
-    oq = tuple(map(sub, q, o))
-    pq = tuple(map(sub, q, p))
-    dot_o = reduce(add, map(mul, op, oq), 0)
+    # |u x v|**2 = |u|**2 |v|**2 - (u.v)**2: stable near 0 and pi.
+    [{o_@, }] = o
+    [{p_@, }] = p
+    [{q_@, }] = q
+    op_@ = p_@ - o_@
+    oq_@ = q_@ - o_@
+    pq_@ = q_@ - p_@
+    dot_o = 0{ + op_@ * oq_@}
     if math.atan2(math.sqrt(max(l_op * l_op * l_oq * l_oq - dot_o * dot_o, 0.0)),
                   dot_o) >= t3:  # the angle at O
         return BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o
     f_q = w_o * l_oq + w_p * l_pq
-    dot_q = reduce(add, map(mul, oq, pq), 0)
+    dot_q = 0{ + oq_@ * pq_@}
     if math.atan2(math.sqrt(max(l_oq * l_oq * l_pq * l_pq - dot_q * dot_q, 0.0)),
                   dot_q) >= t1:  # the angle at Q
         return BranchCase.COLLAPSE_TO_Q, q, f_q, f_o
     f_p = w_o * l_op + w_q * l_pq
-    dot_p = -reduce(add, map(mul, op, pq), 0)
+    dot_p = -(0{ + op_@ * pq_@})
     if math.atan2(math.sqrt(max(l_op * l_op * l_pq * l_pq - dot_p * dot_p, 0.0)),
                   dot_p) >= t2:  # the angle at P
         return BranchCase.COLLAPSE_TO_P, p, f_p, f_o
 
-    # interior branch point via circumcenters of the chords OP and OQ
+    # interior branch point via circumcenters of the chords OP and OQ; qm is
+    # the foot of the altitude from Q, minus Q
     try:
         c_q = dot_o / (l_op * l_op)
         c_p = dot_o / (l_oq * l_oq)
-        qm = [c_q * x - y for x, y in zip(op, oq)]  # foot of the altitude from Q, minus Q
-        ph = [c_p * y - x for x, y in zip(op, oq)]
-        n_qm = math.hypot(*qm)
-        n_ph = math.hypot(*ph)
-        r, s, rs, o_r = [], [], [], []
-        for x, y, z, u, v in zip(o, p, q, qm, ph):
-            r_i = (x + y) / 2.0 - h1 * (u / n_qm) * l_op
-            s_i = (x + z) / 2.0 - h2 * (v / n_ph) * l_oq
-            r.append(r_i)
-            s.append(s_i)
-            rs.append(s_i - r_i)
-            o_r.append(x - r_i)
-        rs_sq = reduce(add, map(mul, rs, rs), 0)
+        qm_@ = c_q * op_@ - oq_@
+        ph_@ = c_p * oq_@ - op_@
+        n_qm = math.hypot({qm_@, })
+        n_ph = math.hypot({ph_@, })
+        r_@ = (o_@ + p_@) / 2.0 - h1 * (qm_@ / n_qm) * l_op
+        s_@ = (o_@ + q_@) / 2.0 - h2 * (ph_@ / n_ph) * l_oq
+        rs_@ = s_@ - r_@
+        or_@ = o_@ - r_@
+        rs_sq = 0{ + rs_@ * rs_@}
         if rs_sq <= tol * tol:
             lam = 0.0  # concentric limit: reflect straight through the center
         else:
-            lam = reduce(add, map(mul, o_r, rs), 0) / rs_sq
-        b = tuple(2.0 * ((1.0 - lam) * x + lam * y) - z for x, y, z in zip(r, s, o))
+            lam = (0{ + or_@ * rs_@}) / rs_sq
+        b = ({2.0 * ((1.0 - lam) * r_@ + lam * s_@) - o_@, })
     except ZeroDivisionError:
-        b = None
-    if b is not None and all(map(math.isfinite, b)):
+        pass  # the construction broke down
+    else:
+        # a non-finite B* costs inf or nan, which is never below a corner
         cost = w_o * math.dist(b, o) + w_p * math.dist(p, b) + w_q * math.dist(q, b)
         if cost < min(f_o, f_q, f_p):
             return BranchCase.INTERIOR_Y, b, cost, f_o
@@ -281,170 +268,43 @@ def _branch_point_general(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float,
                (BranchCase.COLLAPSE_TO_Q, q, f_q, f_o),
                (BranchCase.COLLAPSE_TO_P, p, f_p, f_o),
                key=itemgetter(2))
+"""
+_GROUP = re.compile(r"\{([^{}]*)\}")
+_BODIES: dict = {}  # dimension -> its compiled body
 
 
-def _branch_point_planar(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float,
-                         alpha: float) -> tuple:
-    """_branch_point_general for two coordinates, bit for bit: the same
-    float operations in the same order on unpacked coordinates."""
-    l_op = math.dist(o, p)
-    l_oq = math.dist(o, q)
-    l_pq = math.dist(p, q)
-    scale = max(l_op, l_oq, l_pq)
-    if scale == 0.0 or not -200 < math.frexp(scale)[1] < 200:
-        return _branch_point_general(o, p, q, m_p, m_q, alpha)
-    tol = _COINCIDENT_REL * scale
-    if l_pq <= tol:
-        raise DegenerateInputError("the two targets coincide")
-
-    (t1, t2, t3), (h1, h2), w_o, w_p, w_q = _mass_terms(m_p, m_q, alpha)
-    f_o = w_p * l_op + w_q * l_oq
-    if l_op <= tol or l_oq <= tol:
-        return BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o
-    o_x, o_y = o
-    p_x, p_y = p
-    q_x, q_y = q
-    op_x = p_x - o_x
-    op_y = p_y - o_y
-    oq_x = q_x - o_x
-    oq_y = q_y - o_y
-    pq_x = q_x - p_x
-    pq_y = q_y - p_y
-    dot_o = 0 + op_x * oq_x + op_y * oq_y
-    if math.atan2(math.sqrt(max(l_op * l_op * l_oq * l_oq - dot_o * dot_o, 0.0)),
-                  dot_o) >= t3:  # the angle at O
-        return BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o
-    f_q = w_o * l_oq + w_p * l_pq
-    dot_q = 0 + oq_x * pq_x + oq_y * pq_y
-    if math.atan2(math.sqrt(max(l_oq * l_oq * l_pq * l_pq - dot_q * dot_q, 0.0)),
-                  dot_q) >= t1:  # the angle at Q
-        return BranchCase.COLLAPSE_TO_Q, q, f_q, f_o
-    f_p = w_o * l_op + w_q * l_pq
-    dot_p = -(0 + op_x * pq_x + op_y * pq_y)
-    if math.atan2(math.sqrt(max(l_op * l_op * l_pq * l_pq - dot_p * dot_p, 0.0)),
-                  dot_p) >= t2:  # the angle at P
-        return BranchCase.COLLAPSE_TO_P, p, f_p, f_o
-
-    try:
-        c_q = dot_o / (l_op * l_op)
-        c_p = dot_o / (l_oq * l_oq)
-        qm_x = c_q * op_x - oq_x
-        qm_y = c_q * op_y - oq_y
-        ph_x = c_p * oq_x - op_x
-        ph_y = c_p * oq_y - op_y
-        n_qm = math.hypot(qm_x, qm_y)
-        n_ph = math.hypot(ph_x, ph_y)
-        r_x = (o_x + p_x) / 2.0 - h1 * (qm_x / n_qm) * l_op
-        s_x = (o_x + q_x) / 2.0 - h2 * (ph_x / n_ph) * l_oq
-        rs_x = s_x - r_x
-        or_x = o_x - r_x
-        r_y = (o_y + p_y) / 2.0 - h1 * (qm_y / n_qm) * l_op
-        s_y = (o_y + q_y) / 2.0 - h2 * (ph_y / n_ph) * l_oq
-        rs_y = s_y - r_y
-        or_y = o_y - r_y
-        rs_sq = 0 + rs_x * rs_x + rs_y * rs_y
-        if rs_sq <= tol * tol:
-            lam = 0.0
-        else:
-            lam = (0 + or_x * rs_x + or_y * rs_y) / rs_sq
-        b = (2.0 * ((1.0 - lam) * r_x + lam * s_x) - o_x,
-             2.0 * ((1.0 - lam) * r_y + lam * s_y) - o_y)
-    except ZeroDivisionError:
-        b = None
-    if b is not None and math.isfinite(b[0]) and math.isfinite(b[1]):
-        cost = w_o * math.dist(b, o) + w_p * math.dist(p, b) + w_q * math.dist(q, b)
-        if cost < min(f_o, f_q, f_p):
-            return BranchCase.INTERIOR_Y, b, cost, f_o
-    return min((BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o),
-               (BranchCase.COLLAPSE_TO_Q, q, f_q, f_o),
-               (BranchCase.COLLAPSE_TO_P, p, f_p, f_o),
-               key=itemgetter(2))
+def _expand(line: str, d: int) -> list:
+    """One template line for d coordinates, as a list of lines."""
+    def each(text):
+        return [text.replace("@", str(i)) for i in range(d)]
+    line = _GROUP.sub(lambda group: "".join(each(group[1])), line)
+    return each(line) if "@" in line else [line]
 
 
-def _branch_point_3d(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float,
-                     alpha: float) -> tuple:
-    """_branch_point_general for three coordinates, bit for bit: the same
-    float operations in the same order on unpacked coordinates."""
-    l_op = math.dist(o, p)
-    l_oq = math.dist(o, q)
-    l_pq = math.dist(p, q)
-    scale = max(l_op, l_oq, l_pq)
-    if scale == 0.0 or not -200 < math.frexp(scale)[1] < 200:
-        return _branch_point_general(o, p, q, m_p, m_q, alpha)
-    tol = _COINCIDENT_REL * scale
-    if l_pq <= tol:
-        raise DegenerateInputError("the two targets coincide")
+def _body(d: int):
+    """The body for d coordinates: the template expanded, compiled with
+    this module's globals, its source registered with linecache so that
+    tracebacks and inspect.getsource show it, and kept in _BODIES."""
+    source = "".join(f"{out}\n" for line in _TEMPLATE.splitlines() for out in _expand(line, d))
+    filename = f"<branch_point d={d}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    body = _BODIES[d] = namespace["branch_point"]
+    return body
 
-    (t1, t2, t3), (h1, h2), w_o, w_p, w_q = _mass_terms(m_p, m_q, alpha)
-    f_o = w_p * l_op + w_q * l_oq
-    if l_op <= tol or l_oq <= tol:
-        return BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o
-    o_x, o_y, o_z = o
-    p_x, p_y, p_z = p
-    q_x, q_y, q_z = q
-    op_x = p_x - o_x
-    op_y = p_y - o_y
-    op_z = p_z - o_z
-    oq_x = q_x - o_x
-    oq_y = q_y - o_y
-    oq_z = q_z - o_z
-    pq_x = q_x - p_x
-    pq_y = q_y - p_y
-    pq_z = q_z - p_z
-    dot_o = 0 + op_x * oq_x + op_y * oq_y + op_z * oq_z
-    if math.atan2(math.sqrt(max(l_op * l_op * l_oq * l_oq - dot_o * dot_o, 0.0)),
-                  dot_o) >= t3:  # the angle at O
-        return BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o
-    f_q = w_o * l_oq + w_p * l_pq
-    dot_q = 0 + oq_x * pq_x + oq_y * pq_y + oq_z * pq_z
-    if math.atan2(math.sqrt(max(l_oq * l_oq * l_pq * l_pq - dot_q * dot_q, 0.0)),
-                  dot_q) >= t1:  # the angle at Q
-        return BranchCase.COLLAPSE_TO_Q, q, f_q, f_o
-    f_p = w_o * l_op + w_q * l_pq
-    dot_p = -(0 + op_x * pq_x + op_y * pq_y + op_z * pq_z)
-    if math.atan2(math.sqrt(max(l_op * l_op * l_pq * l_pq - dot_p * dot_p, 0.0)),
-                  dot_p) >= t2:  # the angle at P
-        return BranchCase.COLLAPSE_TO_P, p, f_p, f_o
 
-    try:
-        c_q = dot_o / (l_op * l_op)
-        c_p = dot_o / (l_oq * l_oq)
-        qm_x = c_q * op_x - oq_x
-        qm_y = c_q * op_y - oq_y
-        qm_z = c_q * op_z - oq_z
-        ph_x = c_p * oq_x - op_x
-        ph_y = c_p * oq_y - op_y
-        ph_z = c_p * oq_z - op_z
-        n_qm = math.hypot(qm_x, qm_y, qm_z)
-        n_ph = math.hypot(ph_x, ph_y, ph_z)
-        r_x = (o_x + p_x) / 2.0 - h1 * (qm_x / n_qm) * l_op
-        s_x = (o_x + q_x) / 2.0 - h2 * (ph_x / n_ph) * l_oq
-        rs_x = s_x - r_x
-        or_x = o_x - r_x
-        r_y = (o_y + p_y) / 2.0 - h1 * (qm_y / n_qm) * l_op
-        s_y = (o_y + q_y) / 2.0 - h2 * (ph_y / n_ph) * l_oq
-        rs_y = s_y - r_y
-        or_y = o_y - r_y
-        r_z = (o_z + p_z) / 2.0 - h1 * (qm_z / n_qm) * l_op
-        s_z = (o_z + q_z) / 2.0 - h2 * (ph_z / n_ph) * l_oq
-        rs_z = s_z - r_z
-        or_z = o_z - r_z
-        rs_sq = 0 + rs_x * rs_x + rs_y * rs_y + rs_z * rs_z
-        if rs_sq <= tol * tol:
-            lam = 0.0
-        else:
-            lam = (0 + or_x * rs_x + or_y * rs_y + or_z * rs_z) / rs_sq
-        b = (2.0 * ((1.0 - lam) * r_x + lam * s_x) - o_x,
-             2.0 * ((1.0 - lam) * r_y + lam * s_y) - o_y,
-             2.0 * ((1.0 - lam) * r_z + lam * s_z) - o_z)
-    except ZeroDivisionError:
-        b = None
-    if (b is not None and math.isfinite(b[0]) and math.isfinite(b[1])
-            and math.isfinite(b[2])):
-        cost = w_o * math.dist(b, o) + w_p * math.dist(p, b) + w_q * math.dist(q, b)
-        if cost < min(f_o, f_q, f_p):
-            return BranchCase.INTERIOR_Y, b, cost, f_o
-    return min((BranchCase.V_SHAPE_AT_SOURCE, o, f_o, f_o),
-               (BranchCase.COLLAPSE_TO_Q, q, f_q, f_o),
-               (BranchCase.COLLAPSE_TO_P, p, f_p, f_o),
-               key=itemgetter(2))
+def _rescaled(o: tuple, p: tuple, q: tuple, m_p: float, m_q: float, alpha: float,
+              scale: float) -> tuple:
+    """branch_point for a triangle whose longest side, scale, is 0 (all three
+    points coincide) or outside 2**+-200: solved scaled by 2**-k, exactly,
+    and scaled back.  A corner B* is the point given."""
+    if scale == 0.0:
+        # all three points coincide: nothing to transport anywhere
+        return BranchCase.V_SHAPE_AT_SOURCE, o, 0.0, 0.0
+    k = math.frexp(scale)[1]
+    case, b, cost, v_cost = branch_point(
+        *(tuple(math.ldexp(x, -k) for x in v) for v in (o, p, q)), m_p, m_q, alpha)
+    b = {BranchCase.V_SHAPE_AT_SOURCE: o, BranchCase.COLLAPSE_TO_P: p,
+         BranchCase.COLLAPSE_TO_Q: q}.get(case) or tuple(math.ldexp(x, k) for x in b)
+    return case, b, math.ldexp(cost, k), math.ldexp(v_cost, k)

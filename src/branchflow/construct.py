@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import reduce
+from operator import add
 
 from .bifurcation import BranchCase, branch_point
 from .bifurcation import solve_two_targets  # noqa: F401 (perfbench's tracer wraps this name here)
@@ -213,7 +215,7 @@ def build_subdivision(source_point, source_mass: float, targets: AtomicMeasure,
             return
         groups = _subcells(box, lam, leaf_points, atom_idx)
         centers = [net.add_vertex([(a + b) / 2.0 for a, b in zip(*sub)]) for sub, _ in groups]
-        pool = [(net.point(cvid), sum(targets.masses[i] for i in members))
+        pool = [(net.point(cvid), reduce(add, (targets.masses[i] for i in members), 0))
                 for cvid, (_, members) in zip(centers, groups)]
         net.wire([src_vid] + centers, *_greedy_small(o, pool, alpha)[:2])
         for (sub, members), cvid in zip(groups, centers):

@@ -21,6 +21,8 @@ are finite.  NaN fails every one of these comparisons.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Iterator
 
 from .config import mass_tolerance
@@ -163,6 +165,6 @@ def check_source_targets(source_point, source_mass: float, targets: AtomicMeasur
         raise InputError(f"a coordinate exceeds {MAX_COORDINATE!r} in magnitude")
     if not math.isfinite(diameter(pts)):
         raise InputError("source and targets span more than a float can hold")
-    star = sum(m ** alpha * math.dist(src, x) for x, m in targets.atoms())
+    star = reduce(add, (m ** alpha * math.dist(src, x) for x, m in targets.atoms()), 0)
     if not math.isfinite(star):
         raise InputError(f"the star network's cost {star!r} is not a finite float")

@@ -23,6 +23,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from .config import mass_tolerance, merge_tolerance
 from .errors import InvariantViolation
@@ -215,11 +217,13 @@ class TransportNetwork:
         cost = m_u ** alpha * math.dist(points[parent], p_u)
         vids = self._children[u][:]
         pool = []
+        outflow = 0
         for child in vids:
             pt, m = points[child], weight[child]
             cost += m ** alpha * math.dist(p_u, pt)
+            outflow = outflow + m
             pool.append((pt, m))
-        consumed = m_u - sum(m for _, m in pool)
+        consumed = m_u - outflow
         if u in self._terminal:
             if consumed <= 0.0:
                 return None  # corrupt flow-through target; leave it alone
@@ -378,7 +382,7 @@ class TransportNetwork:
 
         for vid in self.vertices():
             inflow = self._weight.get(vid, 0.0) if vid != self.root else 0.0
-            outflow = sum(self._weight[c] for c in self._children[vid])
+            outflow = reduce(add, (self._weight[c] for c in self._children[vid]), 0)
             res = inflow - outflow + (supply if vid == self.root else 0.0) - demand.get(vid, 0.0)
             report.residuals[vid] = res
         return report

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from functools import reduce
+from operator import add
 
 from .config import cost_tolerance, mass_tolerance, stalled
 from .construct import build_small, build_star, build_subdivision
@@ -51,7 +53,7 @@ def subdivide_long_edges(net: TransportNetwork) -> list[int]:
     if not edges:
         return []
     lengths = [net.edge_length(child) for _, child, _ in edges]
-    mean = sum(lengths) / len(lengths)
+    mean = reduce(add, lengths, 0) / len(lengths)
     threshold = SUBDIVIDE_FACTOR * mean
     cap = 20 * max(1, len(net.terminals()))
     created: list[int] = []

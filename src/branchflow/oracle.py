@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import logging
 import math
-from functools import lru_cache
-from operator import mul, sub
+from functools import lru_cache, reduce
+from operator import add, mul, sub
 from typing import Iterator
 
 from .bifurcation import BifurcationInput, branch_point
@@ -270,7 +270,10 @@ def _cholesky(a: list) -> list | None:
         li = low[i]
         for j in range(i + 1):
             lj = low[j]
-            s = a[i][j] - sum(map(mul, li[:j], lj[:j]))
+            dot = 0
+            for x, y in zip(li[:j], lj[:j]):
+                dot = dot + x * y
+            s = a[i][j] - dot
             if i == j:
                 if not s > 0.0:
                     return None
@@ -302,10 +305,16 @@ def _solve(low: list, rhs: list) -> list:
     y = [0.0] * n
     for i in range(n):
         li = low[i]
-        y[i] = (rhs[i] - sum(map(mul, li[:i], y[:i]))) / li[i]
+        dot = 0
+        for l_k, y_k in zip(li[:i], y[:i]):
+            dot = dot + l_k * y_k
+        y[i] = (rhs[i] - dot) / li[i]
     x = [0.0] * n
     for i in reversed(range(n)):
-        x[i] = (y[i] - sum(low[k][i] * x[k] for k in range(i + 1, n))) / low[i][i]
+        dot = 0
+        for k in range(i + 1, n):
+            dot = dot + low[k][i] * x[k]
+        x[i] = (y[i] - dot) / low[i][i]
     return x
 
 
@@ -361,7 +370,7 @@ def _stage_floor(fixed: list, terms, pts: list, value: float, grad: list,
     So the cost anywhere the minimizer can be is at least
     value - |grad| * R - delta * sum w**alpha, with R**2 the sum of those
     squared distances; the result is in the plan's own units."""
-    radius = math.sqrt(sum(max(math.dist(row, a) ** 2 for a in fixed) for row in pts))
+    radius = math.sqrt(reduce(add, (max(math.dist(row, a) ** 2 for a in fixed) for row in pts), 0))
     slack = delta * math.fsum(coef for *_, coef in terms)
     return math.ldexp(value - math.hypot(*grad) * radius - slack, k)
 

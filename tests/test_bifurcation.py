@@ -62,7 +62,7 @@ def test_spot_interior_solution():
 # x = 1 - 0.1 (a V would cost 1.42 against 1.10), a right angle at O that
 # sits exactly on the V-shape boundary t3 = pi/2, and the thin Y tripled and
 # laid in the tilted plane spanned by (1, 2, 2) and (2, 1, -2), so that the
-# 3-d body's hand-off to the rescale is reached too
+# d = 3 body's hand-off to the rescale is reached too
 SCALED = {
     "spot": (SPOT, BranchCase.INTERIOR_Y),
     "thin": (BifurcationInput(o=(0.0, 0.0), p=(1.0, 0.1), q=(1.0, -0.1),

@@ -21,13 +21,15 @@ The solver calls the kernel `branch_point` on plain floats, with no checks;
 `solve_two_targets` is the checked public entry around it, and the two must
 agree bit for bit.  The checks themselves are tested in test_bifurcation.
 
-branch_point sends d = 2 points to a planar body, d = 3 points to a 3-d
-body and all others to the general one.  Each unpacked body must equal the
-general body bit for bit, signed zeros included, on every input of its
-dimension here and on edge cases of its own, and no other dimension may
-enter it.
+branch_point runs a body generated from one template for len(o)
+coordinates.  Each generated body must equal the general body of
+tests/reference.py bit for bit, signed zeros included, on every input of its
+dimension here (and, at d = 2 and 3, on edge cases of their own), and no
+other dimension may enter it.
 """
+import inspect
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from branchflow.bifurcation import (
     solve_two_targets,
 )
 from branchflow.errors import DegenerateInputError
+from reference import branch_point_general
 
 
 def _norm(v):
@@ -267,8 +270,8 @@ def test_kernel_and_public_entry_agree_bit_for_bit():
 
 
 def _planar_edge_inputs():
-    """d = 2 inputs on the planar body's edges: the thin triangles of the
-    sliver bug (ROADMAP item 4), which the planar body must reproduce;
+    """d = 2 inputs on the d = 2 body's edges: the thin triangles of the
+    sliver bug (ROADMAP item 4), which the d = 2 body must reproduce;
     exactly collinear triangles in ints and in floats, each vertex in the
     middle once, and int triangles up to 2**50; signed zeros; longest sides
     at and around 2**+-199, 2**+-200 and 2**+-201, where the rescale starts;
@@ -323,7 +326,7 @@ def _planar_edge_inputs():
 
 
 def _3d_edge_inputs():
-    """d = 3 inputs on the 3-d body's edges, after _planar_edge_inputs: the
+    """d = 3 inputs on the d = 3 body's edges, after _planar_edge_inputs: the
     sliver-bug triangles laid in the tilted plane spanned by (1, 2, 2) and
     (2, 1, -2); exactly collinear triangles in ints and in floats, each
     vertex in the middle once, and int triangles up to 2**50; every sign
@@ -391,9 +394,13 @@ def _3d_edge_inputs():
     return out
 
 
-# (dimension, the unpacked body branch_point sends it to)
-UNPACKED_BODIES = ((2, "_branch_point_planar"), (3, "_branch_point_3d"))
+DIMENSIONS = (2, 3, 4, 5)
 _OWN_EDGE_INPUTS = {2: _planar_edge_inputs, 3: _3d_edge_inputs}
+
+
+def _generated(d):
+    """The body branch_point runs for d coordinates."""
+    return bifurcation._BODIES.get(d) or bifurcation._body(d)
 
 
 def _outcome(body, args):
@@ -405,45 +412,46 @@ def _outcome(body, args):
 
 
 def _inputs_of_dimension(d):
-    """Every input of dimension d here: the shared ones, then the body's own edges."""
-    return [a for a in _inputs() + _edge_inputs() if len(a[0]) == d] + _OWN_EDGE_INPUTS[d]()
+    """Every input of dimension d here: the shared ones, then the dimension's own edges."""
+    own = _OWN_EDGE_INPUTS.get(d)
+    return [a for a in _inputs() + _edge_inputs() if len(a[0]) == d] + (own() if own else [])
 
 
-@pytest.mark.parametrize("d, name", UNPACKED_BODIES)
-def test_unpacked_body_matches_general_body_bit_for_bit(monkeypatch, d, name):
-    """branch_point sends every input of dimension d to its unpacked body,
-    and its four fields equal the general body's bit for bit, signed zeros
-    included (both raise on coincident targets).  The general side runs with
-    branch_point bound to the general body, so its rescale never reaches the
-    unpacked one.  sum() rounds floats differently across Python versions
-    (from 3.12 it compensates), so the bodies fold dot products by hand;
-    shadowed here by the correctly rounded fsum, a sum() in a body fails
-    this test on any version."""
+@pytest.mark.parametrize("d", DIMENSIONS)
+def test_unpacked_body_matches_general_body_bit_for_bit(monkeypatch, d):
+    """branch_point sends every input of dimension d to the body generated
+    for d, and its four fields equal the reference general body's bit for
+    bit, signed zeros included (both raise on coincident targets).  The
+    reference keeps the isfinite test on B* that the template leaves out.
+    sum() rounds floats differently across Python versions (from 3.12 it
+    compensates), so the kernel folds dot products by hand; the generated
+    body is compiled with the bifurcation module's globals, so shadowed there
+    by the correctly rounded fsum, a sum() in the template fails this test
+    on any version."""
     monkeypatch.setattr(bifurcation, "sum", lambda terms, start=0: math.fsum((start, *terms)),
                         raising=False)
     inputs = _inputs_of_dimension(d)
-    body = getattr(bifurcation, name)
+    body = _generated(d)
     entered = []
 
     def counted(*args):
         entered.append(args)
         return body(*args)
 
-    monkeypatch.setattr(bifurcation, name, counted)
+    monkeypatch.setitem(bifurcation._BODIES, d, counted)
     got = []
     for args in inputs:
         del entered[:]
         got.append(_outcome(branch_point, args))
         assert entered[:1] == [args]
-    monkeypatch.setattr(bifurcation, "branch_point", bifurcation._branch_point_general)
-    want = [_outcome(bifurcation._branch_point_general, args) for args in inputs]
+    want = [_outcome(branch_point_general, args) for args in inputs]
     mismatched = [(args, g, w) for args, g, w in zip(inputs, got, want) if g != w]
     assert not mismatched, (len(mismatched), mismatched[:3])
     cases = {w if w is DegenerateInputError else w[0] for w in want}
     assert cases == {*BranchCase, DegenerateInputError}
 
 
-@pytest.mark.parametrize("d", sorted(_OWN_EDGE_INPUTS))
+@pytest.mark.parametrize("d", DIMENSIONS)
 def test_unpacked_body_returns_the_callers_corner_objects(d):
     """A corner B*, from an angle test, the best-corner fallback or the
     rescale, is the caller's own o, p or q object."""
@@ -461,17 +469,36 @@ def test_unpacked_body_returns_the_callers_corner_objects(d):
 
 
 def test_each_dimension_enters_only_its_own_unpacked_body(monkeypatch):
-    """d = 2 never enters the 3-d body nor d = 3 the planar one, rescale
-    included, and d = 4-5 enters neither unpacked body."""
-    for d, name in UNPACKED_BODIES:
-        def guarded(*args, d=d, body=getattr(bifurcation, name)):
-            if len(args[0]) != d:
-                raise AssertionError(f"a d = {len(args[0])} input reached the d = {d} body")
+    """branch_point runs only the body generated for len(o), rescale
+    included."""
+    entered = []
+    for d in DIMENSIONS:
+        def recorded(*args, d=d, body=_generated(d)):
+            entered.append(d)
             return body(*args)
 
-        monkeypatch.setattr(bifurcation, name, guarded)
-    seen = dict.fromkeys(range(2, 6), 0)
+        monkeypatch.setitem(bifurcation._BODIES, d, recorded)
+    seen = dict.fromkeys(DIMENSIONS, 0)
+    rescaled = 0
     for args in _inputs() + _edge_inputs():
+        del entered[:]
         _outcome(branch_point, args)
+        assert entered and set(entered) == {len(args[0])}, (entered, args)
         seen[len(args[0])] += 1
+        rescaled += len(entered) > 1
     assert min(seen.values()) >= 3_000, seen
+    assert rescaled >= 100
+
+
+def test_generated_body_shows_its_source():
+    """inspect.getsource returns a generated body's expanded source, and a
+    traceback raised inside it names the body's file and line."""
+    source = inspect.getsource(_generated(3))
+    assert source.startswith("def branch_point(o, p, q, m_p, m_q, alpha):\n")
+    assert "    dot_o = 0 + op_0 * oq_0 + op_1 * oq_1 + op_2 * oq_2\n" in source
+    assert "@" not in source
+    with pytest.raises(ValueError) as info:  # math.dist on points of two dimensions
+        branch_point((0.0, 0.0, 0.0), (1.0, 0.0), (0.0, 1.0, 0.0), 0.5, 0.5, 0.5)
+    frame = traceback.extract_tb(info.value.__traceback__)[-1]
+    assert frame.filename == "<branch_point d=3>"
+    assert frame.line == "l_op = math.dist(o, p)"

@@ -52,14 +52,17 @@ def _generated(dim: int, count: int, alpha: float) -> dict:
                           "region": {"low": [0.0] * dim, "high": [1.0] * dim}}}
 
 
-def _commands(work: Path):
-    """(label, input path, command, output suffixes) for the whole set."""
+def _commands(work: Path, only=None):
+    """(label, input path, command, output suffixes) for the whole set, or
+    for the labels in only."""
     for name, count in BENCH_SETS:
         (work / name).mkdir()
         stream = CaseStream(WORKLOADS[name], CASE_SEED, work / name)
         for i in range(count):
-            path = stream.get(i).path
             label = f"{name}/{i:05d}"
+            if only is not None and label not in only:
+                continue
+            path = stream.get(i).path
             if WORKLOADS[name].certify:
                 yield label, path, "solve", (".solve.json",)
                 yield label, path, "oracle", (".oracle.json",)
@@ -67,12 +70,16 @@ def _commands(work: Path):
                 yield label, path, "solve", (".solve.json", ".svg")
     for dim, count, alpha in GENERATED:
         label = f"generator/d{dim}-n{count}-a{alpha}"
+        if only is not None and label not in only:
+            continue
         path = work / f"{label.replace('/', '-')}.json"
         path.write_text(json.dumps(_generated(dim, count, alpha)))
         yield label, path, "solve", (".solve.json", ".svg")
 
 
-def build_manifest() -> dict:
+def build_manifest(only=None) -> dict:
+    """The manifest of the whole set, or of the labels in only (such as
+    "solve-planar/00002" or "generator/d2-n100-a0.75")."""
     files: dict[str, str] = {}
     costs: dict[str, float] = {}
     structure: dict[str, str] = {}
@@ -80,7 +87,7 @@ def build_manifest() -> dict:
     commands = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for label, path, command, suffixes in _commands(work):
+        for label, path, command, suffixes in _commands(work, only):
             outs = {s: work / f"out-{commands}{s}" for s in suffixes}
             argv = [command, "--input", str(path), "--out-json", str(outs[suffixes[0]])]
             if ".svg" in outs:
