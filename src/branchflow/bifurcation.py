@@ -160,10 +160,7 @@ def _mass_terms(m_p: float, m_q: float, alpha: float):
     typed=True keeps an int or numpy mass from serving a float key."""
     m_o = m_p + m_q
     t1, t2, t3 = branch_angles(m_p, m_q, m_o, alpha)
-    try:
-        halves = ((math.cos(t1) / math.sin(t1)) / 2.0, (math.cos(t2) / math.sin(t2)) / 2.0)
-    except ZeroDivisionError:  # a zero sine: nan makes B* non-finite, so a corner wins
-        halves = (math.nan, math.nan)
+    halves = ((math.cos(t1) / math.sin(t1)) / 2.0, (math.cos(t2) / math.sin(t2)) / 2.0)
     return (t1, t2, t3), halves, m_o ** alpha, m_p ** alpha, m_q ** alpha
 
 
@@ -249,10 +246,7 @@ def branch_point(o, p, q, m_p, m_q, alpha):
         rs_@ = s_@ - r_@
         or_@ = o_@ - r_@
         rs_sq = 0{ + rs_@ * rs_@}
-        if rs_sq <= tol * tol:
-            lam = 0.0  # concentric limit: reflect straight through the center
-        else:
-            lam = (0{ + or_@ * rs_@}) / rs_sq
+        lam = (0{ + or_@ * rs_@}) / rs_sq
         b = ({2.0 * ((1.0 - lam) * r_@ + lam * s_@) - o_@, })
     except ZeroDivisionError:
         pass  # the construction broke down

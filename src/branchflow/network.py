@@ -426,12 +426,13 @@ class TransportNetwork:
     def canonicalize(self, collapse_passthrough: bool = False) -> None:
         """Normalize a tree in place: drop negligible edges, merge vertices
         within merge_tolerance of the bounding-box diameter, remove isolated
-        helpers, optionally splice out exact pass-through vertices.
-        Idempotent.
+        helpers, and optionally splice out every one-child helper whose
+        weights agree within mass_tolerance.  Idempotent.
 
         The coincident pairs are scanned once: nothing here moves a point or
         adds a vertex, so a later scan would find the same pairs minus those
-        that lost a vertex."""
+        that lost a vertex.  A splice changes no other vertex's child count
+        or weights, so one ascending pass splices every such helper."""
         eps_w = mass_tolerance(self.source_mass)
         eps_merge = merge_tolerance(self.bbox_diameter())
         pairs = self._coincident_pairs(eps_merge) if eps_merge > 0 else []
@@ -456,29 +457,20 @@ class TransportNetwork:
                     changed = True
 
         if collapse_passthrough:
-            again = True
-            while again:
-                again = False
-                for vid in self.vertices():
-                    if vid == self.root or vid in self._terminal:
-                        continue
-                    if vid not in self._parent or len(self._children[vid]) != 1:
-                        continue
-                    (child,) = self._children[vid]
-                    if abs(self._weight[vid] - self._weight[child]) > eps_w:
-                        continue
-                    parent = self._parent[vid]
-                    # exact in reals by the triangle inequality; the check
-                    # only skips ulp-level rounding reversals
-                    direct = math.dist(self._points[parent], self._points[child])
-                    if direct > self.edge_length(vid) + self.edge_length(child):
-                        continue
-                    w = self._weight[child]
-                    self.remove_edge(child)
-                    self.remove_edge(vid)
-                    self.remove_vertex(vid)
-                    self.add_edge(parent, child, w)
-                    again = True
+            for vid in self.vertices():
+                if vid == self.root or vid in self._terminal:
+                    continue
+                if vid not in self._parent or len(self._children[vid]) != 1:
+                    continue
+                (child,) = self._children[vid]
+                if abs(self._weight[vid] - self._weight[child]) > eps_w:
+                    continue
+                parent = self._parent[vid]
+                w = self._weight[child]
+                self.remove_edge(child)
+                self.remove_edge(vid)
+                self.remove_vertex(vid)
+                self.add_edge(parent, child, w)
 
     def _merge_coincident(self, pairs: list[tuple[int, int]]) -> bool:
         """Take the first pair of live vertices that can merge, then start

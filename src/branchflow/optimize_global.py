@@ -21,8 +21,9 @@ where w~ is the edge weight after the removal (shared ancestors cancel).
 Reattaching u under the minimizer v* strictly lowers the total cost by
 S - T(v*) whenever that is positive; the rewiring applies exactly that edit.
 The full pipeline alternates construction, local sweeps, midpoint edge
-subdivision (which plants candidate attachment points), and reparent passes
-until a round stops paying.
+subdivision (which plants candidate attachment points) and reparent passes
+until a round stalls.  A round that accepted no move (each lowers the cost by
+more than eps_improve) only planted midpoints, and canonicalize splices them.
 """
 from __future__ import annotations
 
@@ -221,7 +222,7 @@ def _check_result(net: TransportNetwork, source: AtomicMeasure,
 def global_optimize(source: AtomicMeasure, targets: AtomicMeasure, alpha: float,
                     initializer: str = "subdivision") -> TransportNetwork:
     """Full pipeline: construct, then loop local sweeps, edge subdivision and
-    reparent passes until a round stops paying; finish canonical.  Raises
+    reparent passes until a round stalls; finish canonical.  Raises
     InputError for a source that is not one atom or an instance that
     check_source_targets (run by the initializer) refuses,
     InvariantViolation when the result is not one tree that delivers every
@@ -241,17 +242,12 @@ def global_optimize(source: AtomicMeasure, targets: AtomicMeasure, alpha: float,
 
     cost = net.cost_m_alpha(alpha)
     for _ in range(MAX_ROUNDS):
-        round_snapshot = net.copy()
         round_start = cost
         local_sweep(net, alpha, eps_improve)
         if alpha != 1.0:
             subdivide_long_edges(net)
             reparent_pass(net, alpha, eps_improve)
         cost = net.cost_m_alpha(alpha)
-        improvement = round_start - cost
-        if improvement <= 0.0:
-            net.restore_from(round_snapshot)
-            break
         if stalled(round_start, cost):
             break
 

@@ -47,8 +47,9 @@ def improve_vertex(net: TransportNetwork, u: int, alpha: float, eps_improve: flo
 
 def local_sweep(net: TransportNetwork, alpha: float, eps_improve: float,
                 on_sweep=None) -> float:
-    """Sweep improve_vertex over the tree until a full pass stops paying,
-    at most MAX_LOCAL_SWEEPS times.
+    """Sweep improve_vertex over the tree until a sweep stalls, at most
+    MAX_LOCAL_SWEEPS times; a sweep that accepts no move edits nothing, so
+    its cost is unchanged and it stalls.
 
     Returns the final cost.  Sweeps visit vertices in breadth-first order
     from the root; vertices spliced away mid-sweep are skipped, and so is a
@@ -61,19 +62,16 @@ def local_sweep(net: TransportNetwork, alpha: float, eps_improve: float,
     rejected: dict[int, int] = {}
     cost = net.cost_m_alpha(alpha)
     for _ in range(MAX_LOCAL_SWEEPS):
-        improved = False
         for u in net.bfs_order():
             if not net.has_vertex(u) or rejected.get(u) == net.star_stamp(u):
                 continue
             # an accepted move restamps u, so its old entry cannot match
-            if improve_vertex(net, u, alpha, eps_improve):
-                improved = True
-            else:
+            if not improve_vertex(net, u, alpha, eps_improve):
                 rejected[u] = net.star_stamp(u)
         new_cost = net.cost_m_alpha(alpha)
         if on_sweep is not None:
             on_sweep(net)
-        if not improved or stalled(cost, new_cost):
+        if stalled(cost, new_cost):
             return new_cost
         cost = new_cost
     return cost

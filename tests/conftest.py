@@ -25,8 +25,9 @@ class MoveRecorder:
     "reparent" (a rewire), and one (stage, None, cost, cost) entry per
     checkpoint: "init" (the initializer's network), "local_sweep" (after
     each sweep that global_optimize runs), "subdivide", "reparent_pass",
-    "rollback" (after restore_from) and "final" (the network `solve`
-    returns).  Every cost is a fresh full cost_m_alpha at alpha.
+    "rollback" (after restore_from, which the solver never calls: only a
+    test's on_sweep does) and "final" (the network `solve` returns).  Every
+    cost is a fresh full cost_m_alpha at alpha.
     """
 
     def __init__(self) -> None:

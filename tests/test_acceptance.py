@@ -127,7 +127,7 @@ def test_criterion_03_alpha_one_degeneration():
 
 def test_criterion_04_conservation_at_every_stage(recorder):
     """Balance, acyclicity and positive weights hold after every stage:
-    init, every sweep, subdivision, reparent pass and rollback, and final."""
+    init, every sweep, subdivision, reparent pass, and final."""
     rng = np.random.default_rng(44)
     stages_seen = 0
     worst_residual = 0.0

@@ -30,7 +30,8 @@ def test_identical_manifests_exit_zero(tmp_path):
     assert code == 0
     assert report == {"identical": 2, "changed": 0, "added": 0, "removed": 0,
                       "failed": {"old": [], "new": []},
-                      "largest_rise": None, "largest_fall": None, "cost_only": None}
+                      "largest_rise": None, "largest_fall": None, "changed_costs": {},
+                      "cost_only": None}
 
 
 def test_changes_are_counted_and_the_extremes_named(tmp_path):
@@ -70,6 +71,20 @@ def test_cost_only_changes_are_told_apart(tmp_path):
     assert report["cost_only"] is None
     code, report = _run(tmp_path, old, old)
     assert code == 0 and report["cost_only"] == []
+
+
+def test_changed_network_files_list_their_costs(tmp_path):
+    files = {"a.solve.json": "11", "b.solve.json": "22", "c.oracle.json": "33", "a.svg": "44"}
+    costs = {"a.solve.json": 1.0, "b.solve.json": 2.0, "c.oracle.json": 3.0}
+    # a keeps its cost with another network, b moves, c and the SVG are
+    # unchanged and changed without a cost, and d is new
+    new = _manifest({**files, "a.solve.json": "1x", "b.solve.json": "2x", "a.svg": "4x",
+                     "d.solve.json": "55"},
+                    {**costs, "b.solve.json": 1.5, "d.solve.json": 4.0})
+    code, report = _run(tmp_path, _manifest(files, costs), new)
+    assert code == 1
+    assert report["changed_costs"] == {"a.solve.json": {"old": 1.0, "new": 1.0},
+                                       "b.solve.json": {"old": 2.0, "new": 1.5}}
 
 
 def test_a_failed_command_alone_fails_the_comparison(tmp_path):
