@@ -198,12 +198,22 @@ def test_canonicalize_prunes_and_merges():
     assert net.n_edges() == 3
 
 
-@pytest.mark.parametrize("a, b", [
-    ((0.0, 0.0), (2.0, 0.0)),
+def test_canonicalize_collapses_passthrough():
+    net = TransportNetwork((0.0, 0.0), 1.0)
+    mid = net.add_vertex((1.0, 0.0))
+    leaf = net.add_vertex((2.0, 0.0), terminal=True)
+    net.add_edge(net.root, mid, 1.0)
+    net.add_edge(mid, leaf, 1.0)
+    net.canonicalize(collapse_passthrough=True)
+    assert not net.has_vertex(mid)
+    assert net.parent(leaf) == net.root
+    assert net.cost_m_alpha(0.5) == pytest.approx(2.0)
+
+
+def test_canonicalize_collapses_float_midpoint():
     # the float midpoint: |ab| exceeds |am| + |mb| by one ulp
-    ((0.058785116206491295, 0.29860594962301334), (0.9679033101508892, 0.8755342442351592)),
-])
-def test_canonicalize_collapses_passthrough(a, b):
+    a = (0.058785116206491295, 0.29860594962301334)
+    b = (0.9679033101508892, 0.8755342442351592)
     net = TransportNetwork(a, 1.0)
     mid = net.add_vertex([(x + y) / 2.0 for x, y in zip(a, b)])
     leaf = net.add_vertex(b, terminal=True)
